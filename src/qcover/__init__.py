@@ -36,7 +36,6 @@ from .transpiler import (
     TemplateOp,
     TranspiledCircuit,
     TranspileError,
-    register_rule,
     transpile,
 )
 

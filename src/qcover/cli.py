@@ -5,8 +5,9 @@ Command-line entry point.
     qcover mutate      mutation campaign per circuit, optional CSV export
     qcover instrument  dump the transpiled or instrumented form of a circuit
 
-Global flags (also settable via QCOVER_* environment variables): --seed,
---epsilon, --qubit-limit, --jobs, --quiet, --time-limit.  Exit codes:
+Global flags (also settable via QCOVER_* environment variables), given
+before or after the subcommand: --seed, --epsilon, --qubit-limit, --jobs,
+--quiet, --time-limit.  Exit codes:
 0 success, 1 any per-file failure or engine-error verdict, 2 usage error.
 All randomness is seeded (default 0), so identical inputs and flags give
 identical outputs; a circuit aborted by the time limit is skipped with a
@@ -43,23 +44,23 @@ def _env_default(name: str, fallback, convert):
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int,
-                        default=_env_default("SEED", 0, int),
+    """Add the global flags with no defaults of their own.
+
+    Only the root parser sets their defaults: a subparser default would
+    overwrite a flag given before the subcommand.
+    """
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for every random choice (default 0)")
-    parser.add_argument("--epsilon", type=float,
-                        default=_env_default("EPSILON", coverage.DEFAULT_EPSILON, float),
+    parser.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
                         help="certainty threshold for classifying expectations as +/-1")
-    parser.add_argument("--qubit-limit", type=int,
-                        default=_env_default("QUBIT_LIMIT", simulator.DEFAULT_QUBIT_LIMIT, int),
+    parser.add_argument("--qubit-limit", type=int, default=argparse.SUPPRESS,
                         help="refuse circuits beyond this many qubits")
-    parser.add_argument("--jobs", type=int,
-                        default=_env_default("JOBS", 1, int),
+    parser.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="worker processes for batch runs")
-    parser.add_argument("--quiet", action="store_true",
-                        default=_env_default("QUIET", False, lambda s: s not in ("", "0")),
+    parser.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress per-circuit output")
     parser.add_argument("--time-limit", type=float, metavar="SECONDS",
-                        default=_env_default("TIME_LIMIT", None, float),
+                        default=argparse.SUPPRESS,
                         help="abort a single circuit past this budget without "
                              "failing the batch (checked between stages)")
 
@@ -69,6 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcover",
         description="Controlled-gate coverage and mutation analysis for OpenQASM 2 circuits")
     _common_flags(parser)
+    parser.set_defaults(
+        seed=_env_default("SEED", 0, int),
+        epsilon=_env_default("EPSILON", coverage.DEFAULT_EPSILON, float),
+        qubit_limit=_env_default("QUBIT_LIMIT", simulator.DEFAULT_QUBIT_LIMIT, int),
+        jobs=_env_default("JOBS", 1, int),
+        quiet=_env_default("QUIET", False, lambda s: s not in ("", "0")),
+        time_limit=_env_default("TIME_LIMIT", None, float))
     sub = parser.add_subparsers(dest="command", required=True)
 
     cover = sub.add_parser("cover", help="compute coverage metrics")
@@ -361,6 +369,10 @@ def cmd_instrument(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 0.0 < args.epsilon < 0.5:
+        parser.error("--epsilon must lie in (0, 0.5)")
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        parser.error("--budget must not be negative")
     if args.command == "cover":
         return cmd_cover(args)
     if args.command == "mutate":

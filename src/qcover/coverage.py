@@ -124,9 +124,13 @@ def jain_index(values: list[float]) -> float:
         raise ValueError("jain_index needs at least one value")
     if any(v < 0 for v in values):
         raise ValueError("jain_index values must be non-negative")
-    square_sum = sum(v * v for v in values)
-    if square_sum == 0.0:
+    top = max(values)
+    if top == 0.0:
         raise ValueError("jain_index values must not all be zero")
+    # dividing by the largest value keeps tiny inputs from squaring into
+    # subnormals, where the ratio loses precision and can exceed 1
+    values = [v / top for v in values]
+    square_sum = sum(v * v for v in values)
     total = sum(values)
     return (total * total) / (len(values) * square_sum)
 

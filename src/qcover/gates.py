@@ -1,5 +1,5 @@
 """
-Defining unitaries for every gate kind, plus embedding helpers.
+Defining unitaries for every gate kind.
 
 Matrix convention is little-endian over the operand list: operand i of a gate
 is bit i of the matrix index.  Controlled kinds therefore place their control
@@ -139,32 +139,3 @@ def matrix(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     if kind in _PARAMETRIC:
         return _PARAMETRIC[kind](params)
     raise ValueError(f"{kind} has no defining unitary")
-
-
-def embed(mat: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Expand a k-qubit matrix to the full 2^n space on the given qubits."""
-    k = len(qubits)
-    dim = 1 << num_qubits
-    full = np.zeros((dim, dim), dtype=complex)
-    qmask = 0
-    for q in qubits:
-        qmask |= 1 << q
-    for i in range(dim):
-        sub_i = 0
-        for b, q in enumerate(qubits):
-            sub_i |= ((i >> q) & 1) << b
-        rest = i & ~qmask
-        for sub_j in range(1 << k):
-            j = rest
-            for b, q in enumerate(qubits):
-                j |= ((sub_j >> b) & 1) << q
-            full[i, j] = mat[sub_i, sub_j]
-    return full
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between unitaries after removing the global phase."""
-    tr = np.trace(b.conj().T @ a)
-    if abs(tr) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    return float(np.max(np.abs(a * (abs(tr) / tr) - b)))

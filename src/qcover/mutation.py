@@ -18,9 +18,9 @@ statevectors: |<orig|mut>| >= 1 - tolerance means the mutant survived
 (states equal up to global phase), anything less means it was killed.  A
 mutant whose run costs more than timeout_factor times the original's counts
 as a timeout instead.  Runtime can be measured two ways: "cost" charges
-gate-count * 2^n deterministic units (the default for campaigns, whose CSV
-output must be byte-stable across runs), "wall" takes the median of three
-wall-clock runs.
+gate-count * 2^n deterministic units (the default everywhere, because
+campaign CSV output must be byte-stable across runs), "wall" takes the
+median of three wall-clock runs.
 
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
@@ -150,12 +150,6 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
 
 # -- runtime measurement -----------------------------------------------------
 
-def _strip_for_statevector(circuit: Circuit) -> Circuit:
-    kept = tuple(i for i in circuit.instructions
-                 if i.kind not in (GateKind.MEASURE, GateKind.BARRIER))
-    return Circuit(circuit.num_qubits, circuit.num_clbits, kept)
-
-
 def _cost_units(circuit: Circuit) -> float:
     """Deterministic runtime proxy: executed gates times state size."""
     gate_count = sum(1 for i in circuit.gates
@@ -165,15 +159,14 @@ def _cost_units(circuit: Circuit) -> float:
 
 def _timed_statevector(circuit: Circuit, timing: str,
                        qubit_limit: int) -> tuple[np.ndarray, float]:
-    stripped = _strip_for_statevector(circuit)
     if timing == "cost":
-        return statevector_of(stripped, qubit_limit=qubit_limit), _cost_units(stripped)
+        return statevector_of(circuit, qubit_limit=qubit_limit), _cost_units(circuit)
     # median of 3 wall-clock runs damps scheduler noise
     samples = []
     state = None
     for _ in range(3):
         start = time.perf_counter()
-        state = statevector_of(stripped, qubit_limit=qubit_limit)
+        state = statevector_of(circuit, qubit_limit=qubit_limit)
         samples.append(time.perf_counter() - start)
     samples.sort()
     return state, samples[1]
@@ -182,7 +175,7 @@ def _timed_statevector(circuit: Circuit, timing: str,
 def judge(original: Circuit, mutant: Mutant,
           tolerance: float = DEFAULT_TOLERANCE,
           timeout_factor: float = DEFAULT_TIMEOUT_FACTOR, *,
-          timing: str = "wall",
+          timing: str = "cost",
           qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> MutantVerdict:
     """Classify one mutant as killed, survived, or timeout.
 

@@ -13,7 +13,6 @@ measurement histograms only.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,35 +200,3 @@ def sample_counts(circuit: Circuit, shots: int, *, seed: int = 0,
         key = "".join(bits)
         counts[key] = counts.get(key, 0) + 1
     return dict(sorted(counts.items()))
-
-
-# ---------------------------------------------------------------------------
-# Binary statevector dump: magic, version, qubit count, then 2^n little-endian
-# complex-128 amplitudes.
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"QSV1"
-_HEADER = struct.Struct("<4sHH")
-
-
-def save_statevector(path: str, state: np.ndarray) -> None:
-    n = state.size.bit_length() - 1
-    if 1 << n != state.size:
-        raise ValueError("statevector length must be a power of two")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, 1, n))
-        fh.write(np.ascontiguousarray(state, dtype="<c16").tobytes())
-
-
-def load_statevector(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, version, n = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError("not a statevector dump")
-        if version != 1:
-            raise ValueError(f"unsupported statevector dump version {version}")
-        data = fh.read()
-    state = np.frombuffer(data, dtype="<c16")
-    if state.size != 1 << n:
-        raise ValueError("truncated statevector dump")
-    return state.astype(np.complex128)

@@ -3,12 +3,13 @@ Rewrites controlled gates into the {u, p, cx} primitive basis, tracking the
 origin of every emitted cx so coverage can attribute each condition back to
 the controlled gate it came from.
 
-Every controlled kind has a registered DecompositionRule whose expanded
-unitary is checked against the kind's defining matrix (up to global phase,
-1e-10 max-norm) when the rule is registered.  Non-controlled gates and bare
-cx gates pass through unchanged; a bare cx counts as its own expansion with
-a single condition.  No cross-gate optimization is performed: expansions are
-emitted verbatim so condition counts stay deterministic.
+RULES maps every controlled kind to a fixed DecompositionRule, built once at
+import.  The rules are not re-checked at run time: the test suite checks
+each expansion against an independent unitary oracle (up to global phase,
+1e-10 max-norm).  Non-controlled gates and bare cx gates pass through
+unchanged; a bare cx counts as its own expansion with a single condition.
+No cross-gate optimization is performed: expansions are emitted verbatim so
+condition counts stay deterministic.
 
 The cswap rule uses a 7-cx realization.  Its two free angles satisfy
 lambda + theta = pi/2, the constraint under which this gate pattern equals
@@ -20,9 +21,6 @@ from dataclasses import dataclass
 from math import pi
 from typing import Callable
 
-import numpy as np
-
-from . import gates
 from .ir import (
     SPECS,
     Circuit,
@@ -230,75 +228,10 @@ def _builtin_templates() -> dict[GateKind, list[TemplateOp]]:
     }
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-class RuleRegistry:
-    """Immutable-after-startup mapping from controlled kind to its rule."""
-
-    def __init__(self) -> None:
-        self._rules: dict[GateKind, DecompositionRule] = {}
-
-    def get(self, kind: GateKind) -> DecompositionRule:
-        rule = self._rules.get(kind)
-        if rule is None:
-            raise TranspileError(f"no decomposition rule registered for {kind}")
-        return rule
-
-    def register(self, rule: DecompositionRule, check: bool = True) -> None:
-        """Add a rule after checking unitary equivalence for canonical operands.
-
-        Parameterized kinds are checked at several angle assignments.  A rule
-        whose expansion deviates from the defining unitary by more than 1e-10
-        in max-norm (after global-phase alignment) is rejected.
-        """
-        if rule.kind in self._rules:
-            raise TranspileError(f"duplicate decomposition rule for {rule.kind}")
-        spec = SPECS[rule.kind]
-        for op in rule.template:
-            if any(i >= spec.num_qubits for i in op.operands):
-                raise TranspileError(
-                    f"{rule.kind} template references operand role out of range")
-        if check:
-            n = spec.num_qubits
-            operands = tuple(range(n))
-            rng = np.random.default_rng(1234)
-            trials = 3 if spec.num_params else 1
-            for _ in range(trials):
-                params = tuple(rng.uniform(-pi, pi, spec.num_params))
-                target = gates.matrix(rule.kind, params)
-                got = np.eye(1 << n, dtype=complex)
-                for kind, values, qubits in rule.expand(params, operands):
-                    got = gates.embed(gates.matrix(kind, values), qubits, n) @ got
-                dev = gates.phase_aligned_distance(got, target)
-                if dev > 1e-10:
-                    raise TranspileError(
-                        f"{rule.kind} template deviates from its unitary by {dev:.2e}")
-        self._rules[rule.kind] = rule
-
-    @property
-    def kinds(self) -> tuple[GateKind, ...]:
-        return tuple(self._rules)
-
-
-_default_registry: RuleRegistry | None = None
-
-
-def default_registry() -> RuleRegistry:
-    """Registry holding the built-in rules for all controlled kinds."""
-    global _default_registry
-    if _default_registry is None:
-        reg = RuleRegistry()
-        for kind, template in _builtin_templates().items():
-            reg.register(DecompositionRule(kind, tuple(template)))
-        _default_registry = reg
-    return _default_registry
-
-
-def register_rule(rule: DecompositionRule) -> None:
-    """Register a custom rule in the default registry."""
-    default_registry().register(rule)
+RULES: dict[GateKind, DecompositionRule] = {
+    kind: DecompositionRule(kind, tuple(template))
+    for kind, template in _builtin_templates().items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +256,10 @@ class TranspiledCircuit:
     block_end: dict[int, int]
 
 
-def transpile(circuit: Circuit, registry: RuleRegistry | None = None) -> TranspiledCircuit:
+def transpile(circuit: Circuit) -> TranspiledCircuit:
     """Expand every controlled gate; everything else passes through unchanged."""
     if circuit.has_probes():
         raise TranspileError("transpile expects a probe-free circuit")
-    registry = registry or default_registry()
 
     out: list[Instruction] = []
     # expansion bookkeeping keyed by origin (original instruction id)
@@ -354,9 +286,8 @@ def transpile(circuit: Circuit, registry: RuleRegistry | None = None) -> Transpi
             block_end[origin] = len(out)
             continue
 
-        rule = registry.get(instr.kind)
         j = 0
-        for kind, values, qubits in rule.expand(instr.params, instr.qubits):
+        for kind, values, qubits in RULES[instr.kind].expand(instr.params, instr.qubits):
             if kind is GateKind.CX:
                 j += 1
                 cx_prov_positions.append((len(out), origin, j))

@@ -21,7 +21,7 @@ from qcover.ir import CONTROLLED_KINDS, SPECS, GateKind
 from qcover.mutation import Mutant, campaign, generate_mutants, judge, mutation_score
 from qcover.qasm import parse, parse_file
 from qcover.simulator import run, statevector_of
-from qcover.transpiler import default_registry, transpile
+from qcover.transpiler import RULES, transpile
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -90,14 +90,13 @@ def test_criterion_2_swap_test_golden_metrics():
 # -- criterion 3: decomposition fidelity --------------------------------------
 
 def test_criterion_3_decomposition_fidelity():
-    registry = default_registry()
     angle_sets = [(-2.3, 0.4, 1.1, 2.9), (0.6, -1.8, 0.2, -0.9),
                   (math.pi / 3, math.pi, -math.pi / 2, 0.0)]
     checked = 0
     for kind in CONTROLLED_KINDS:
         spec = SPECS[kind]
         assert spec.num_qubits <= 4
-        rule = registry.get(kind)
+        rule = RULES[kind]
         operands = tuple(range(spec.num_qubits))
         for angles in angle_sets if spec.num_params else [()]:
             params = tuple(angles[: spec.num_params])
@@ -107,7 +106,7 @@ def test_criterion_3_decomposition_fidelity():
             dev = oracle.phase_distance(got, target)
             assert dev < 1e-10, f"{kind}: deviation {dev:.2e}"
             checked += 1
-    cswap_cx = sum(1 for op in registry.get(GateKind.CSWAP).template
+    cswap_cx = sum(1 for op in RULES[GateKind.CSWAP].template
                    if op.kind is GateKind.CX)
     assert cswap_cx == 7
     _ok(3, f"{checked} expansions within 1e-10 of their unitaries; cswap uses 7 cx")

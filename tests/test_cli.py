@@ -1,5 +1,6 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,28 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--qubit-limit", "2", "cover", SWAP],
+    ["cover", SWAP, "--qubit-limit", "2"],
+], ids=["before", "after"])
+def test_global_flag_either_side_of_subcommand(argv, capsys):
+    assert main(argv) == 1
+    assert "exceeds the limit of 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mutate", SWAP, "--budget", "-1"],
+    ["--epsilon", "0.7", "cover", SWAP],
+], ids=["budget", "epsilon"])
+def test_bad_flag_value_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+
+
 def test_env_override(monkeypatch, capsys):
     monkeypatch.setenv("QCOVER_QUBIT_LIMIT", "2")
     assert main(["cover", SWAP]) == 1
@@ -162,9 +185,12 @@ def test_env_override(monkeypatch, capsys):
 
 
 def test_console_script_entry():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "qcover.cli", "cover", SWAP],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env=env)
     assert result.returncode == 0
     assert "swap_test.qasm" in result.stdout
 

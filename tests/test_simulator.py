@@ -1,4 +1,4 @@
-"""Statevector engine: kernels, probes, measurement, dumps, oracle parity."""
+"""Statevector engine: kernels, probes, measurement, oracle parity."""
 import math
 
 import numpy as np
@@ -13,11 +13,9 @@ from qcover.simulator import (
     SimulationError,
     apply_gate,
     fidelity,
-    load_statevector,
     marginal,
     run,
     sample_counts,
-    save_statevector,
     statevector_of,
     zero_state,
 )
@@ -186,21 +184,3 @@ def test_fidelity_global_phase_invariant():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.exp(1j * 0.7) * a
     assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_binary_dump_roundtrip(tmp_path):
-    state = statevector_of(build(2, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, 1))]))
-    path = tmp_path / "state.qsv"
-    save_statevector(str(path), state)
-    loaded = load_statevector(str(path))
-    assert np.array_equal(state, loaded)
-    raw = path.read_bytes()
-    assert raw[:4] == b"QSV1"
-    assert len(raw) == 8 + 4 * 16
-
-
-def test_binary_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.qsv"
-    path.write_bytes(b"XXXX\x01\x00\x02\x00" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="not a statevector dump"):
-        load_statevector(str(path))

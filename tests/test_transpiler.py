@@ -11,12 +11,8 @@ from qcover.qasm import parse
 from qcover.transpiler import (
     CSWAP_LAMBDA,
     CSWAP_THETA,
-    DecompositionRule,
-    RuleRegistry,
-    TemplateOp,
-    TranspileError,
+    RULES,
     condition_counts,
-    default_registry,
     provenance_report,
     transpile,
 )
@@ -28,8 +24,8 @@ _ANGLE_SETS = [(-2.3, 0.4, 1.1, 2.9), (0.0, 0.0, 0.0, 0.0),
 @pytest.mark.parametrize("kind", CONTROLLED_KINDS)
 def test_rule_unitary_matches_definition(kind):
     """Brute-force Kronecker oracle: expansion product == defining unitary
-    up to global phase, within 1e-10 max-norm, for every registered rule."""
-    rule = default_registry().get(kind)
+    up to global phase, within 1e-10 max-norm, for every rule."""
+    rule = RULES[kind]
     spec = SPECS[kind]
     n = spec.num_qubits
     operands = tuple(range(n))
@@ -41,7 +37,7 @@ def test_rule_unitary_matches_definition(kind):
 
 
 def test_cswap_rule_has_exactly_seven_cx():
-    rule = default_registry().get(GateKind.CSWAP)
+    rule = RULES[GateKind.CSWAP]
     cx_count = sum(1 for op in rule.template if op.kind is GateKind.CX)
     assert cx_count == 7
 
@@ -85,7 +81,8 @@ def test_transpile_ccx_counts():
     t = transpile(circuit)
     assert condition_counts(t) == {0: 6}
     assert t.origin_controls == {0: (0, 1)}
-    # no controlled kind other than cx remains
+    # every controlled kind has a rule, so no controlled kind other than cx remains
+    assert set(RULES) == set(CONTROLLED_KINDS)
     for instr in t.circuit.instructions:
         spec = SPECS[instr.kind]
         assert not spec.controlled or instr.kind is GateKind.CX
@@ -146,44 +143,6 @@ def test_block_end_points_past_expansion():
     # the instruction just before block_end is the expansion's last cx
     assert t.circuit.instructions[end - 1].kind is GateKind.CX
     assert t.circuit.instructions[end].kind is GateKind.H
-
-
-def test_register_duplicate_kind_rejected():
-    registry = RuleRegistry()
-    rule = DecompositionRule(GateKind.CX, (TemplateOp(GateKind.CX, (0, 1)),))
-    registry.register(rule)
-    with pytest.raises(TranspileError, match="duplicate"):
-        registry.register(rule)
-
-
-def test_register_checks_unitary_equivalence():
-    # a cswap rule with one angle perturbed by 0.1 must be rejected
-    good = default_registry().get(GateKind.CSWAP)
-    perturbed = []
-    bumped = False
-    for op in good.template:
-        if not bumped and op.kind is GateKind.U:
-            perturbed.append(TemplateOp(op.kind, op.operands,
-                                        (op.params[0] + 0.1,) + op.params[1:]))
-            bumped = True
-        else:
-            perturbed.append(op)
-    registry = RuleRegistry()
-    with pytest.raises(TranspileError, match="deviates"):
-        registry.register(DecompositionRule(GateKind.CSWAP, tuple(perturbed)))
-
-
-def test_register_listing_style_cswap_rule_accepted():
-    registry = RuleRegistry()
-    registry.register(default_registry().get(GateKind.CSWAP))
-    assert GateKind.CSWAP in registry.kinds
-
-
-def test_missing_rule_is_configuration_error():
-    registry = RuleRegistry()
-    circuit = build(3, 0, [(GateKind.CCX, (0, 1, 2))])
-    with pytest.raises(TranspileError, match="no decomposition rule"):
-        transpile(circuit, registry)
 
 
 def test_provenance_report_lists_origins():
