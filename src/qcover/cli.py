@@ -369,10 +369,24 @@ def cmd_instrument(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # written as "not (valid)" so that a NaN is rejected too
     if not 0.0 < args.epsilon < 0.5:
         parser.error("--epsilon must lie in (0, 0.5)")
+    if not args.qubit_limit >= 1:
+        parser.error("--qubit-limit must be at least 1")
+    if not args.jobs >= 1:
+        parser.error("--jobs must be at least 1")
+    # a zero budget is allowed: it skips every circuit at its first check
+    if args.time_limit is not None and not args.time_limit >= 0:
+        parser.error("--time-limit must not be negative")
+    if not getattr(args, "shots", 0) >= 0:
+        parser.error("--shots must not be negative")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must not be negative")
+    if not getattr(args, "tolerance", 0.0) >= 0:
+        parser.error("--tolerance must not be negative")
+    if not getattr(args, "timeout_factor", 1.0) > 0:
+        parser.error("--timeout-factor must be positive")
     if args.command == "cover":
         return cmd_cover(args)
     if args.command == "mutate":

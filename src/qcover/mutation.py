@@ -22,19 +22,36 @@ gate-count * 2^n deterministic units (the default everywhere, because
 campaign CSV output must be byte-stable across runs), "wall" takes the
 median of three wall-clock runs.
 
+In cost mode, judge() shares one forward run of the original across calls.
+The first call for an original simulates it once and keeps its final state
+plus a cursor: the original's state before some gate position.  Each later
+call moves the cursor to the end of the prefix of executed gates that the
+mutant shares with the original (starting again from |0...0> when the
+cursor is already past it), copies it, and applies only the mutant's
+remaining gates.  Every amplitude goes through the same apply_gate calls in
+the same order as in two full runs, so states, fidelities and verdicts are
+bit-identical to full re-simulation.  A mutant that times out by cost is
+not simulated at all.  The price is memory: while the original circuit is
+alive, two extra states of 2^n amplitudes each stay held (one original at a
+time; judging another original frees them).  Wall mode measures runtimes,
+so it still runs the original and the mutant in full on every call.
+
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
 """
 from __future__ import annotations
 
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coverage import CoverageReport
 from .ir import Circuit, GateInstruction, GateKind, renumber
-from .simulator import DEFAULT_QUBIT_LIMIT, fidelity, statevector_of
+from .simulator import (DEFAULT_QUBIT_LIMIT, apply_gate, check_statevector_input,
+                        fidelity, statevector_of, zero_state)
 
 OPERATORS = ("qgr", "qgd", "qgi")
 DEFAULT_TOLERANCE = 1e-8
@@ -157,10 +174,8 @@ def _cost_units(circuit: Circuit) -> float:
     return float(gate_count * (1 << circuit.num_qubits))
 
 
-def _timed_statevector(circuit: Circuit, timing: str,
-                       qubit_limit: int) -> tuple[np.ndarray, float]:
-    if timing == "cost":
-        return statevector_of(circuit, qubit_limit=qubit_limit), _cost_units(circuit)
+def _wall_statevector(circuit: Circuit,
+                      qubit_limit: int) -> tuple[np.ndarray, float]:
     # median of 3 wall-clock runs damps scheduler noise
     samples = []
     state = None
@@ -172,6 +187,82 @@ def _timed_statevector(circuit: Circuit, timing: str,
     return state, samples[1]
 
 
+def _executed(circuit: Circuit) -> list[GateInstruction]:
+    """The gates statevector_of applies, in order."""
+    return [i for i in circuit.instructions if i.kind is not GateKind.MEASURE]
+
+
+def _op_key(instr: GateInstruction) -> tuple:
+    return instr.kind, instr.qubits, instr.params
+
+
+class _SharedPrefix:
+    """One forward run of an original circuit, reused by cost-mode judge().
+
+    final is the original's statevector; cursor is its state after the
+    first `position` executed gates.
+    """
+
+    def __init__(self, original: Circuit, qubit_limit: int):
+        self.original = weakref.ref(original, _forget)
+        self.qubit_limit = qubit_limit
+        self.num_qubits = original.num_qubits
+        self.cost = _cost_units(original)
+        self.ops = _executed(original)
+        self.keys = [_op_key(i) for i in self.ops]
+        self.final = statevector_of(original, qubit_limit=qubit_limit)
+        self.cursor = zero_state(self.num_qubits)
+        self.position = 0
+        self.lock = threading.Lock()
+
+    def statevector_of(self, circuit: Circuit) -> np.ndarray:
+        """statevector_of(circuit), bit for bit, from the shared prefix."""
+        ops = _executed(circuit)
+        k = 0
+        if circuit.num_qubits == self.num_qubits:
+            for key, instr in zip(self.keys, ops):
+                if _op_key(instr) != key:
+                    break
+                k += 1
+        if k == 0:
+            state = zero_state(circuit.num_qubits)
+        else:
+            with self.lock:
+                if not 0 <= self.position <= k:
+                    self.cursor = zero_state(self.num_qubits)
+                    self.position = 0
+                # -1 marks the cursor unusable until the sweep completes, so
+                # an interrupted sweep forces a restart instead of a bad state
+                start, self.position = self.position, -1
+                for instr in self.ops[start:k]:
+                    apply_gate(self.cursor, instr.kind, instr.params, instr.qubits)
+                self.position = k
+                state = self.cursor.copy()
+        for instr in ops[k:]:
+            apply_gate(state, instr.kind, instr.params, instr.qubits)
+        return state
+
+
+# The one original whose run is shared.  Replacing it from another thread
+# only costs a rebuild: each call keeps the _SharedPrefix it started with.
+_slot: _SharedPrefix | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _slot
+    if _slot is not None and _slot.original is ref:
+        _slot = None
+
+
+def _shared_prefix(original: Circuit, qubit_limit: int) -> _SharedPrefix:
+    global _slot
+    slot = _slot
+    if (slot is None or slot.original() is not original
+            or slot.qubit_limit != qubit_limit):
+        slot = _slot = _SharedPrefix(original, qubit_limit)
+    return slot
+
+
 def judge(original: Circuit, mutant: Mutant,
           tolerance: float = DEFAULT_TOLERANCE,
           timeout_factor: float = DEFAULT_TIMEOUT_FACTOR, *,
@@ -180,18 +271,39 @@ def judge(original: Circuit, mutant: Mutant,
     """Classify one mutant as killed, survived, or timeout.
 
     Simulation failures yield an 'error' verdict rather than raising, so a
-    campaign can keep going.
+    campaign can keep going.  In cost mode the original's run is shared
+    with the previous call when `original` is the same object and
+    `qubit_limit` is unchanged, and only the mutant's gates after its common
+    prefix with the original are applied; this holds two extra states of
+    the original's size for as long as the original circuit lives.  Wall
+    mode simulates both circuits in full, three times each.
     """
     if timing not in ("wall", "cost"):
         raise MutationError(f"unknown timing mode {timing!r}")
-    try:
-        ref_state, ref_time = _timed_statevector(original, timing, qubit_limit)
-        mut_state, mut_time = _timed_statevector(mutant.circuit, timing, qubit_limit)
-    except Exception:
-        return MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
+    error = MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
+    if timing == "wall":
+        try:
+            ref_state, ref_time = _wall_statevector(original, qubit_limit)
+            mut_state, mut_time = _wall_statevector(mutant.circuit, qubit_limit)
+        except Exception:
+            return error
+        if mut_time > timeout_factor * ref_time:
+            return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
+    else:
+        try:
+            prefix = _shared_prefix(original, qubit_limit)
+            check_statevector_input(mutant.circuit, qubit_limit)
+        except Exception:
+            return error
+        ref_time, mut_time = prefix.cost, _cost_units(mutant.circuit)
+        if mut_time > timeout_factor * ref_time:
+            return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
+        try:
+            mut_state = prefix.statevector_of(mutant.circuit)
+        except Exception:
+            return error
+        ref_state = prefix.final
 
-    if mut_time > timeout_factor * ref_time:
-        return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
     fid = fidelity(ref_state, mut_state)
     status = "survived" if fid >= 1.0 - tolerance else "killed"
     return MutantVerdict(mutant.mutant_id, status, fid, ref_time, mut_time)

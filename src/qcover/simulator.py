@@ -161,6 +161,15 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     return RunResult(state, log, measurements)
 
 
+def check_statevector_input(circuit: Circuit, qubit_limit: int) -> None:
+    """Raise SimulationError unless statevector_of accepts the circuit."""
+    if circuit.has_probes():
+        raise SimulationError("statevector_of expects a probe-free circuit")
+    n = circuit.num_qubits
+    if n > qubit_limit:
+        raise SimulationError(f"{n} qubits exceeds the limit of {qubit_limit}")
+
+
 def statevector_of(circuit: Circuit, *,
                    qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> np.ndarray:
     """Final pre-measurement statevector from the all-zero input.
@@ -168,12 +177,8 @@ def statevector_of(circuit: Circuit, *,
     Measurements are skipped (the state is taken before any collapse);
     probes are not allowed.
     """
-    if circuit.has_probes():
-        raise SimulationError("statevector_of expects a probe-free circuit")
-    n = circuit.num_qubits
-    if n > qubit_limit:
-        raise SimulationError(f"{n} qubits exceeds the limit of {qubit_limit}")
-    state = zero_state(n)
+    check_statevector_input(circuit, qubit_limit)
+    state = zero_state(circuit.num_qubits)
     for instr in circuit.instructions:
         if instr.kind is GateKind.MEASURE:
             continue

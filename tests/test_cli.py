@@ -167,7 +167,15 @@ def test_global_flag_either_side_of_subcommand(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["mutate", SWAP, "--budget", "-1"],
     ["--epsilon", "0.7", "cover", SWAP],
-], ids=["budget", "epsilon"])
+    ["mutate", SWAP, "--operators", "qgd", "--tolerance", "-1"],
+    ["mutate", SWAP, "--timeout-factor", "-1"],
+    ["cover", SWAP, "--shots", "-5"],
+    ["--qubit-limit", "-3", "cover", SWAP],
+    ["cover", SWAP, "--time-limit", "-1"],
+    # rejected before any worker starts: no pool is created for jobs=0
+    ["--jobs", "0", "cover", SWAP, SWAP],
+], ids=["budget", "epsilon", "tolerance", "timeout-factor", "shots",
+        "qubit-limit", "time-limit", "jobs"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -175,6 +183,14 @@ def test_bad_flag_value_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1
+
+
+def test_bad_env_value_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QCOVER_TIME_LIMIT", "-1")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cover", SWAP])
+    assert excinfo.value.code == 2
+    assert "--time-limit must not be negative" in capsys.readouterr().err
 
 
 def test_env_override(monkeypatch, capsys):
