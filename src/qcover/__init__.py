@@ -10,13 +10,12 @@ from .coverage import (
     classify_decision,
     jain_index,
 )
-from .instrument import instrument, probe_plan, strip_probes
+from .probes import instrument, probe_plan, strip_probes
 from .ir import (
     Circuit,
     GateInstruction,
     GateKind,
     Probe,
-    ProbeProvenance,
     Violation,
     controlled_gate_inventory,
     validate,
@@ -33,6 +32,7 @@ from .qasm import QasmError, SerializationError, SourceSpan, parse, parse_file, 
 from .simulator import RunResult, SimulationError, run, statevector_of
 from .transpiler import (
     DecompositionRule,
+    Origin,
     TemplateOp,
     TranspiledCircuit,
     TranspileError,

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import coverage, mutation, qasm, simulator
-from .instrument import instrument, render
+from .probes import instrument, render
 from .ir import controlled_gate_inventory, validate
 from .transpiler import provenance_report, transpile
 
@@ -357,12 +357,10 @@ def cmd_instrument(args) -> int:
               "coverage is 100% by definition")
     if args.stage == "transpiled":
         sys.stdout.write(qasm.serialize(transpiled.circuit))
-        if args.provenance:
-            sys.stdout.write("\n" + provenance_report(transpiled))
     else:
         sys.stdout.write(render(instrument(transpiled)))
-        if args.provenance:
-            sys.stdout.write("\n" + provenance_report(transpiled))
+    if args.provenance:
+        sys.stdout.write("\n" + provenance_report(transpiled))
     return 0
 
 
@@ -383,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--shots must not be negative")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must not be negative")
-    if not getattr(args, "tolerance", 0.0) >= 0:
-        parser.error("--tolerance must not be negative")
+    if not 0 <= getattr(args, "tolerance", 0.0) < 1:
+        parser.error("--tolerance must lie in [0, 1)")
     if not getattr(args, "timeout_factor", 1.0) > 0:
         parser.error("--timeout-factor must be positive")
     if args.command == "cover":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instrument import probe_plan
+from .probes import probe_plan
 from .simulator import ProbeLog
 from .transpiler import TranspiledCircuit
 
@@ -187,7 +187,7 @@ def _lookup(log: ProbeLog, label: str):
 
 def analyze(log: ProbeLog, t: TranspiledCircuit, *,
             epsilon: float = DEFAULT_EPSILON, circuit_name: str = "") -> CoverageReport:
-    """Compute the full report from a probe log and transpilation provenance."""
+    """Compute the full report from a probe log and the transpiled origins."""
     if not 0.0 < epsilon < 0.5:
         raise AnalysisError("epsilon must lie in (0, 0.5)")
     plan = probe_plan(t)
@@ -199,17 +199,17 @@ def analyze(log: ProbeLog, t: TranspiledCircuit, *,
             expectation = _lookup(log, pt.value_label)
             probs = _lookup(log, pt.prob_label)
             th, fh, ptrue, pfalse = classify_condition(expectation, probs, epsilon)
-            per_cx.append(ConditionOutcome(origin_set.origin, pt.cx_index,
+            per_cx.append(ConditionOutcome(origin_set.origin.id, pt.index,
                                            th, fh, ptrue, pfalse))
         expectations = [_lookup(log, dp.value_label) for dp in origin_set.decision_points]
         probs_list = [_lookup(log, dp.prob_label) for dp in origin_set.decision_points]
         th, fh, ptrue, pfalse = classify_decision(expectations, probs_list, epsilon)
-        per_gate.append(DecisionOutcome(origin_set.origin, th, fh, ptrue, pfalse,
+        per_gate.append(DecisionOutcome(origin_set.origin.id, th, fh, ptrue, pfalse,
                                         tuple(expectations)))
 
     num_gates = len(per_gate)
     num_cx = len(per_cx)
-    num_controls = sum(len(s.controls) for s in plan)
+    num_controls = sum(len(o.controls) for o in t.origins)
 
     if num_gates == 0:
         hundred = 100.0

@@ -4,7 +4,7 @@ Circuit intermediate representation shared by every stage of the pipeline.
 Contains:
     - GateKind: enum of every supported gate, measurement, and barrier
     - GateSpec / SPECS: per-kind arity, parameter count, control positions
-    - GateInstruction, Probe, ProbeProvenance: the instruction types
+    - GateInstruction, Probe: the instruction types
     - Circuit: immutable ordered instruction list over flat qubit/clbit spaces
     - controlled_gate_inventory(), validate(), renumber(), circuits_equal()
 
@@ -160,21 +160,6 @@ class GateInstruction:
 
 
 @dataclass(frozen=True)
-class ProbeProvenance:
-    """Links a probe back to the controlled gate it observes.
-
-    Condition-level probes carry the ordinal of the decomposed cx inside the
-    gate's expansion; decision-level probes carry the ordinal of the control
-    qubit within the gate's control list.  Both ordinals are 1-based.
-    """
-
-    origin_gate_id: int
-    level: str  # "condition" | "decision"
-    cx_index: int | None = None
-    control_index: int | None = None
-
-
-@dataclass(frozen=True)
 class Probe:
     """Non-collapsing simulator directive recording <Z> or the Z-basis
     probability pair of one qubit under a unique label."""
@@ -183,7 +168,6 @@ class Probe:
     mode: str  # "expectation" | "probabilities"
     qubit: int
     label: str
-    provenance: ProbeProvenance
 
 
 Instruction = GateInstruction | Probe
@@ -217,8 +201,7 @@ def renumber(instructions: list[Instruction] | tuple[Instruction, ...]) -> tuple
             out.append(GateInstruction(new_id, instr.kind, instr.qubits,
                                        instr.params, instr.clbits))
         else:
-            out.append(Probe(new_id, instr.mode, instr.qubit, instr.label,
-                             instr.provenance))
+            out.append(Probe(new_id, instr.mode, instr.qubit, instr.label))
     return tuple(out)
 
 
@@ -277,15 +260,6 @@ def validate(circuit: Circuit) -> list[Violation]:
             elif instr.label in seen_labels:
                 violations.append(Violation(instr.id, f"duplicate probe label {instr.label!r}"))
             seen_labels.add(instr.label)
-            prov = instr.provenance
-            if prov.level == "condition":
-                if prov.cx_index is None or prov.cx_index < 1 or prov.control_index is not None:
-                    violations.append(Violation(instr.id, "malformed condition provenance"))
-            elif prov.level == "decision":
-                if prov.control_index is None or prov.control_index < 1 or prov.cx_index is not None:
-                    violations.append(Violation(instr.id, "malformed decision provenance"))
-            else:
-                violations.append(Violation(instr.id, f"unknown probe level {prov.level!r}"))
             continue
 
         spec = SPECS[instr.kind]
@@ -326,7 +300,7 @@ def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:
         if type(x) is not type(y):
             return False
         if isinstance(x, Probe):
-            if (x.mode, x.qubit, x.label, x.provenance) != (y.mode, y.qubit, y.label, y.provenance):
+            if (x.mode, x.qubit, x.label) != (y.mode, y.qubit, y.label):
                 return False
             continue
         if (x.kind, x.qubits, x.clbits) != (y.kind, y.qubits, y.clbits):

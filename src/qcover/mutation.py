@@ -270,17 +270,21 @@ def judge(original: Circuit, mutant: Mutant,
           qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> MutantVerdict:
     """Classify one mutant as killed, survived, or timeout.
 
-    Simulation failures yield an 'error' verdict rather than raising, so a
-    campaign can keep going.  In cost mode the original's run is shared
-    with the previous call when `original` is the same object and
-    `qubit_limit` is unchanged, and only the mutant's gates after its common
-    prefix with the original are applied; this holds two extra states of
-    the original's size for as long as the original circuit lives.  Wall
-    mode simulates both circuits in full, three times each.
+    Simulation failures, and a mutant whose qubit count differs from the
+    original's, yield an 'error' verdict rather than raising, so a campaign
+    can keep going.  In cost mode the original's run is shared with the
+    previous call when `original` is the same object and `qubit_limit` is
+    unchanged, and only the mutant's gates after its common prefix with the
+    original are applied; this holds two extra states of the original's size
+    for as long as the original circuit lives.  Wall mode simulates both
+    circuits in full, three times each.
     """
     if timing not in ("wall", "cost"):
         raise MutationError(f"unknown timing mode {timing!r}")
     error = MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
+    # generated mutants keep the width; a hand-built one may not
+    if mutant.circuit.num_qubits != original.num_qubits:
+        return error
     if timing == "wall":
         try:
             ref_state, ref_time = _wall_statevector(original, qubit_limit)

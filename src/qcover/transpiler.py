@@ -1,13 +1,15 @@
 """
-Rewrites controlled gates into the {u, p, cx} primitive basis, tracking the
-origin of every emitted cx so coverage can attribute each condition back to
+Rewrites controlled gates into the {u, p, cx} primitive basis and records,
+for each controlled gate with control qubits, one Origin: its controls and
+where its cx gates landed, so coverage can attribute each condition back to
 the controlled gate it came from.
 
 RULES maps every controlled kind to a fixed DecompositionRule, built once at
 import.  The rules are not re-checked at run time: the test suite checks
 each expansion against an independent unitary oracle (up to global phase,
-1e-10 max-norm).  Non-controlled gates and bare cx gates pass through
-unchanged; a bare cx counts as its own expansion with a single condition.
+1e-10 max-norm).  Non-controlled gates pass through unchanged; a bare cx
+goes through RULES like every other kind and is its own one-cx expansion
+with a single condition.
 No cross-gate optimization is performed: expansions are emitted verbatim so
 condition counts stay deterministic.
 
@@ -239,21 +241,30 @@ RULES: dict[GateKind, DecompositionRule] = {
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TranspiledCircuit:
-    """Primitive-basis circuit plus the provenance needed for coverage.
+class Origin:
+    """One tracked controlled gate and where its expansion landed.
 
-    cx_provenance maps each emitted cx instruction id to (origin gate id,
-    1-based index within that gate's expansion).  origin_controls lists, in
-    program order, every origin gate that has control qubits; kinds without
-    one (dcx, ecr) are expanded but never tracked here.  block_end gives the
-    position just past the last instruction of each origin's expansion.
+    id is the gate's instruction id in the input circuit and controls its
+    control qubits.  cx_positions index the expansion's cx gates in the
+    transpiled instruction list, in program order: the j-th is condition j.
+    block_end is the position just past the expansion's last instruction.
     """
 
+    id: int
+    kind: GateKind
+    controls: tuple[int, ...]
+    cx_positions: tuple[int, ...]
+    block_end: int
+
+
+@dataclass(frozen=True)
+class TranspiledCircuit:
+    """Primitive-basis circuit plus one Origin per gate with control qubits,
+    in program order.  Kinds without one (dcx, ecr) are expanded but not
+    tracked."""
+
     circuit: Circuit
-    cx_provenance: dict[int, tuple[int, int]]
-    origin_controls: dict[int, tuple[int, ...]]
-    origin_kinds: dict[int, GateKind]
-    block_end: dict[int, int]
+    origins: tuple[Origin, ...]
 
 
 def transpile(circuit: Circuit) -> TranspiledCircuit:
@@ -262,66 +273,36 @@ def transpile(circuit: Circuit) -> TranspiledCircuit:
         raise TranspileError("transpile expects a probe-free circuit")
 
     out: list[Instruction] = []
-    # expansion bookkeeping keyed by origin (original instruction id)
-    cx_prov_positions: list[tuple[int, int, int]] = []  # (position, origin, j)
-    origin_controls: dict[int, tuple[int, ...]] = {}
-    origin_kinds: dict[int, GateKind] = {}
-    block_end: dict[int, int] = {}
-
+    origins: list[Origin] = []
     for instr in circuit.instructions:
         assert isinstance(instr, GateInstruction)
         spec = SPECS[instr.kind]
         if not spec.controlled:
             out.append(instr)
             continue
-
-        origin = instr.id
-        if not spec.no_control:
-            origin_controls[origin] = tuple(instr.qubits[i] for i in spec.controls)
-            origin_kinds[origin] = instr.kind
-
-        if instr.kind is GateKind.CX:
-            cx_prov_positions.append((len(out), origin, 1))
-            out.append(instr)
-            block_end[origin] = len(out)
-            continue
-
-        j = 0
+        start = len(out)
         for kind, values, qubits in RULES[instr.kind].expand(instr.params, instr.qubits):
-            if kind is GateKind.CX:
-                j += 1
-                cx_prov_positions.append((len(out), origin, j))
             out.append(GateInstruction(0, kind, qubits, values))
-        block_end[origin] = len(out)
+        if not spec.no_control:
+            origins.append(Origin(
+                instr.id, instr.kind, tuple(instr.qubits[i] for i in spec.controls),
+                tuple(pos for pos in range(start, len(out)) if out[pos].kind is GateKind.CX),
+                len(out)))
 
-    numbered = renumber(out)
-    cx_provenance = {numbered[pos].id: (origin, j)
-                     for pos, origin, j in cx_prov_positions}
-    result = Circuit(circuit.num_qubits, circuit.num_clbits, numbered)
-    return TranspiledCircuit(result, cx_provenance, origin_controls,
-                             origin_kinds, block_end)
-
-
-def condition_counts(t: TranspiledCircuit) -> dict[int, int]:
-    """Number of conditions (decomposed cx gates) per tracked origin gate."""
-    counts: dict[int, int] = {origin: 0 for origin in t.origin_controls}
-    for origin, _ in t.cx_provenance.values():
-        if origin in counts:
-            counts[origin] += 1
-    return counts
+    result = Circuit(circuit.num_qubits, circuit.num_clbits, renumber(out))
+    return TranspiledCircuit(result, tuple(origins))
 
 
 def provenance_report(t: TranspiledCircuit) -> str:
     """Human-readable table of every tracked cx and its origin gate."""
-    counts = condition_counts(t)
     lines = ["origin  kind    controls      conditions"]
-    for origin, controls in t.origin_controls.items():
-        kind = t.origin_kinds[origin]
-        lines.append(f"{origin:>6}  {kind.value:<7} {str(list(controls)):<13} "
-                     f"{counts[origin]}")
+    for o in t.origins:
+        lines.append(f"{o.id:>6}  {o.kind.value:<7} {str(list(o.controls)):<13} "
+                     f"{len(o.cx_positions)}")
     lines.append("")
     lines.append("cx id   origin  index")
-    for cx_id, (origin, j) in sorted(t.cx_provenance.items()):
-        if origin in t.origin_controls:
-            lines.append(f"{cx_id:>5}  {origin:>7}  {j:>5}")
+    # transpiled ids are positions, and the origins' blocks follow each other
+    for o in t.origins:
+        for j, pos in enumerate(o.cx_positions, start=1):
+            lines.append(f"{pos:>5}  {o.id:>7}  {j:>5}")
     return "\n".join(lines) + "\n"

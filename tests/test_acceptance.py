@@ -16,7 +16,7 @@ import pytest
 import oracle
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.coverage import analyze
-from qcover.instrument import instrument, strip_probes
+from qcover.probes import instrument, strip_probes
 from qcover.ir import CONTROLLED_KINDS, SPECS, GateKind
 from qcover.mutation import Mutant, campaign, generate_mutants, judge, mutation_score
 from qcover.qasm import parse, parse_file

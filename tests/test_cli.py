@@ -168,14 +168,15 @@ def test_global_flag_either_side_of_subcommand(argv, capsys):
     ["mutate", SWAP, "--budget", "-1"],
     ["--epsilon", "0.7", "cover", SWAP],
     ["mutate", SWAP, "--operators", "qgd", "--tolerance", "-1"],
+    ["mutate", SWAP, "--operators", "qgd", "--tolerance", "1"],
     ["mutate", SWAP, "--timeout-factor", "-1"],
     ["cover", SWAP, "--shots", "-5"],
     ["--qubit-limit", "-3", "cover", SWAP],
     ["cover", SWAP, "--time-limit", "-1"],
     # rejected before any worker starts: no pool is created for jobs=0
     ["--jobs", "0", "cover", SWAP, SWAP],
-], ids=["budget", "epsilon", "tolerance", "timeout-factor", "shots",
-        "qubit-limit", "time-limit", "jobs"])
+], ids=["budget", "epsilon", "tolerance", "tolerance-one", "timeout-factor",
+        "shots", "qubit-limit", "time-limit", "jobs"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

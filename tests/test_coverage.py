@@ -15,7 +15,7 @@ from qcover.coverage import (
     classify_decision,
     jain_index,
 )
-from qcover.instrument import instrument
+from qcover.probes import instrument
 from qcover.ir import GateKind
 from qcover.qasm import parse
 from qcover.simulator import run

@@ -2,10 +2,10 @@
 import numpy as np
 
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
-from qcover.instrument import instrument, strip_probes, render
+from qcover.probes import instrument, strip_probes, render
 from qcover.ir import GateKind, Probe, circuits_equal, validate
 from qcover.qasm import parse
-from qcover.transpiler import condition_counts, transpile
+from qcover.transpiler import transpile
 
 
 def _labels(circuit):
@@ -94,8 +94,8 @@ def test_probe_count_formula():
     for _ in range(15):
         t = transpile(random_circuit(rng))
         probed = instrument(t)
-        conditions = sum(condition_counts(t).values())
-        controls = sum(len(c) for c in t.origin_controls.values())
+        conditions = sum(len(o.cx_positions) for o in t.origins)
+        controls = sum(len(o.controls) for o in t.origins)
         assert len(probed.probes) == 2 * conditions + 2 * controls
 
 

@@ -8,7 +8,6 @@ from qcover.ir import (
     GateInstruction,
     GateKind,
     Probe,
-    ProbeProvenance,
     controlled_gate_inventory,
     renumber,
     validate,
@@ -79,9 +78,8 @@ def test_inventory_skips_no_control_kinds():
 
 def test_inventory_ignores_probes():
     circuit = parse(SWAP_TEST_QASM)
-    prov = ProbeProvenance(1, "decision", control_index=1)
     probed = Circuit(3, 1, circuit.instructions + (
-        Probe(99, "expectation", 0, "x_1_value_1", prov),))
+        Probe(99, "expectation", 0, "x_1_value_1"),))
     assert controlled_gate_inventory(probed) == controlled_gate_inventory(circuit)
 
 
@@ -111,26 +109,14 @@ def test_validate_catches_corrupted_param_count():
 
 
 def test_validate_duplicate_ids_and_labels():
-    prov = ProbeProvenance(0, "condition", cx_index=1)
     circuit = Circuit(2, 0, (
         GateInstruction(0, GateKind.CX, (0, 1)),
-        Probe(0, "expectation", 0, "lbl", prov),
-        Probe(2, "probabilities", 0, "lbl", prov),
+        Probe(0, "expectation", 0, "lbl"),
+        Probe(2, "probabilities", 0, "lbl"),
     ))
     messages = [v.message for v in validate(circuit)]
     assert any("duplicate instruction id" in m for m in messages)
     assert any("duplicate probe label" in m for m in messages)
-
-
-def test_validate_provenance_shape():
-    bad = Circuit(1, 0, (
-        Probe(0, "expectation", 0, "a",
-              ProbeProvenance(0, "condition", cx_index=None)),
-        Probe(1, "expectation", 0, "b",
-              ProbeProvenance(0, "decision", cx_index=2, control_index=1)),
-    ))
-    messages = [v.message for v in validate(bad)]
-    assert sum("provenance" in m for m in messages) == 2
 
 
 def test_renumber_assigns_dense_ids():

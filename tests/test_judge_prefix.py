@@ -17,7 +17,7 @@ import pytest
 from corpus_util import build, random_circuit
 from judge_oracle import judge_full
 from qcover import mutation
-from qcover.instrument import instrument
+from qcover.probes import instrument
 from qcover.ir import Circuit, GateKind
 from qcover.mutation import Mutant, generate_mutants, judge
 from qcover.qasm import parse_file
@@ -80,9 +80,15 @@ def test_hand_built_mutants_match_full_resimulation():
     narrower = random_circuit(rng, num_qubits=2, num_gates=6)
     wider = random_circuit(rng, num_qubits=4, num_gates=12)
     for factor in (mutation.DEFAULT_TIMEOUT_FACTOR, NO_TIMEOUT):
-        for candidate in (original, clone, unrelated, narrower, wider):
+        for candidate in (original, clone, unrelated):
             _assert_matches_oracle(original, [_as_mutant(candidate)],
                                    timeout_factor=factor)
+        # a state of another width has no fidelity to the original's
+        for candidate in (narrower, wider):
+            for timing in ("cost", "wall"):
+                verdict = judge(original, _as_mutant(candidate), timing=timing,
+                                timeout_factor=factor)
+                assert verdict == mutation.MutantVerdict(0, "error", None, 0.0, 0.0)
 
 
 def test_measurements_and_barriers_match_full_resimulation():

@@ -6,7 +6,7 @@ import pytest
 
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.coverage import analyze
-from qcover.instrument import instrument
+from qcover.probes import instrument
 from qcover.ir import GateKind
 from qcover.mutation import (
     MutationError,

@@ -177,7 +177,7 @@ def test_roundtrip_random_circuits():
 
 
 def test_serialize_rejects_probes():
-    from qcover.instrument import instrument
+    from qcover.probes import instrument
     from qcover.transpiler import transpile
 
     probed = instrument(transpile(parse(SWAP_TEST_QASM)))

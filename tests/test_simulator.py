@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
-from qcover.instrument import instrument, strip_probes
+from qcover.probes import instrument, strip_probes
 from qcover.ir import Circuit, GateInstruction, GateKind
 from qcover.qasm import parse
 from qcover.simulator import (
@@ -38,13 +38,12 @@ def test_x_expectation_probe():
 
 
 def test_direct_probe_on_flipped_qubit():
-    from qcover.ir import Probe, ProbeProvenance
+    from qcover.ir import Probe
 
-    prov = ProbeProvenance(0, "condition", cx_index=1)
     circuit = Circuit(1, 0, (
         GateInstruction(0, GateKind.X, (0,)),
-        Probe(1, "expectation", 0, "v", prov),
-        Probe(2, "probabilities", 0, "p", prov),
+        Probe(1, "expectation", 0, "v"),
+        Probe(2, "probabilities", 0, "p"),
     ))
     result = run(circuit)
     assert result.probes["v"] == pytest.approx(-1.0, abs=1e-12)

@@ -12,7 +12,7 @@ from qcover.transpiler import (
     CSWAP_LAMBDA,
     CSWAP_THETA,
     RULES,
-    condition_counts,
+    Origin,
     provenance_report,
     transpile,
 )
@@ -63,24 +63,21 @@ def test_transpile_passthrough():
                            (GateKind.U, (0,), (0.1, 0.2, 0.3))])
     t = transpile(circuit)
     assert circuits_equal(t.circuit, circuit)
-    assert t.cx_provenance == {}
-    assert t.origin_controls == {}
+    assert t.origins == ()
 
 
 def test_transpile_bare_cx_is_its_own_expansion():
     circuit = build(2, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, 1))])
     t = transpile(circuit)
     assert circuits_equal(t.circuit, circuit)
-    assert t.cx_provenance == {1: (1, 1)}
-    assert t.origin_controls == {1: (0,)}
-    assert t.block_end == {1: 2}
+    assert t.origins == (Origin(1, GateKind.CX, (0,), (1,), 2),)
 
 
 def test_transpile_ccx_counts():
     circuit = build(3, 0, [(GateKind.CCX, (0, 1, 2))])
     t = transpile(circuit)
-    assert condition_counts(t) == {0: 6}
-    assert t.origin_controls == {0: (0, 1)}
+    (origin,) = t.origins
+    assert (origin.id, origin.controls, len(origin.cx_positions)) == (0, (0, 1), 6)
     # every controlled kind has a rule, so no controlled kind other than cx remains
     assert set(RULES) == set(CONTROLLED_KINDS)
     for instr in t.circuit.instructions:
@@ -112,34 +109,37 @@ def test_provenance_complete_and_contiguous():
         (GateKind.DCX, (0, 1)),
     ])
     t = transpile(circuit)
-    cx_ids = [i.id for i in t.circuit.instructions if i.kind is GateKind.CX]
-    # every cx in the output maps to exactly one origin
-    assert sorted(t.cx_provenance) == cx_ids
-    per_origin: dict[int, list[int]] = {}
-    for cx_id in cx_ids:
-        origin, j = t.cx_provenance[cx_id]
-        per_origin.setdefault(origin, []).append(j)
-    for origin, indices in per_origin.items():
-        assert indices == list(range(1, len(indices) + 1)), "j contiguous in program order"
-    # dcx is expanded and mapped, but carries no tracked controls
-    assert set(per_origin) == {0, 1, 2, 3}
-    assert set(t.origin_controls) == {0, 1, 2}
-    assert condition_counts(t) == {0: 7, 1: 1, 2: 6}
+    cx_positions = [pos for pos, i in enumerate(t.circuit.instructions)
+                    if i.kind is GateKind.CX]
+    # transpiled ids are positions
+    assert [t.circuit.instructions[pos].id for pos in cx_positions] == cx_positions
+    # every cx but dcx's two belongs to exactly one origin, in program order
+    tracked = [pos for o in t.origins for pos in o.cx_positions]
+    assert tracked == cx_positions[:-2]
+    # each origin's cx gates lie inside its block, which starts where the
+    # previous block ends; dcx is expanded but carries no tracked controls
+    start = 0
+    for o in t.origins:
+        assert all(start <= pos < o.block_end for pos in o.cx_positions)
+        start = o.block_end
+    assert [(o.id, o.kind, len(o.cx_positions)) for o in t.origins] == [
+        (0, GateKind.CSWAP, 7), (1, GateKind.CX, 1), (2, GateKind.CCX, 6)]
+    assert t.circuit.instructions[-1].kind is GateKind.CX
+    assert len(t.circuit.instructions) == t.origins[-1].block_end + 2
 
 
 def test_transpile_deterministic():
     circuit = parse(SWAP_TEST_QASM)
     t1, t2 = transpile(circuit), transpile(circuit)
     assert t1.circuit == t2.circuit
-    assert t1.cx_provenance == t2.cx_provenance
-    assert t1.block_end == t2.block_end
+    assert t1.origins == t2.origins
 
 
 def test_block_end_points_past_expansion():
     circuit = parse(SWAP_TEST_QASM)
     t = transpile(circuit)
-    (origin,) = t.origin_controls
-    end = t.block_end[origin]
+    (origin,) = t.origins
+    end = origin.block_end
     # the instruction just before block_end is the expansion's last cx
     assert t.circuit.instructions[end - 1].kind is GateKind.CX
     assert t.circuit.instructions[end].kind is GateKind.H
@@ -157,7 +157,7 @@ def test_cu_full_pipeline():
     circuit = build(2, 0, [(GateKind.H, (0,)),
                            (GateKind.CU, (0, 1), (1.1, 0.4, -0.7, 0.3))])
     t = transpile(circuit)
-    assert condition_counts(t) == {1: 2}
+    assert [(o.id, len(o.cx_positions)) for o in t.origins] == [(1, 2)]
     before = oracle.circuit_unitary(
         [(i.kind, i.params, i.qubits) for i in circuit.instructions], 2)
     after = oracle.circuit_unitary(
@@ -169,8 +169,8 @@ def test_c3sx_full_pipeline():
     circuit = build(4, 0, [(GateKind.X, (0,)), (GateKind.X, (1,)),
                            (GateKind.X, (2,)), (GateKind.C3SX, (0, 1, 2, 3))])
     t = transpile(circuit)
-    assert t.origin_controls[3] == (0, 1, 2)
-    assert condition_counts(t)[3] == 20
+    (origin,) = t.origins
+    assert (origin.id, origin.controls, len(origin.cx_positions)) == (3, (0, 1, 2), 20)
     before = oracle.circuit_unitary(
         [(i.kind, i.params, i.qubits) for i in circuit.instructions], 4)
     after = oracle.circuit_unitary(
