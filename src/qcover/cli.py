@@ -8,10 +8,14 @@ Command-line entry point.
 Global flags (also settable via QCOVER_* environment variables), given
 before or after the subcommand: --seed, --epsilon, --qubit-limit, --jobs,
 --quiet, --time-limit.  Exit codes:
-0 success, 1 any per-file failure or engine-error verdict, 2 usage error.
-All randomness is seeded (default 0), so identical inputs and flags give
-identical outputs; a circuit aborted by the time limit is skipped with a
-warning and does not fail the batch.
+0 success, 1 any per-file failure, engine-error verdict or unwritable
+output path (--json, --csv), 2 usage error.
+All randomness is seeded (default 0) and mutant timeouts are judged in
+deterministic cost units, so identical inputs and flags give identical
+outputs.  `cover` and `mutate` share one batch loop: each input file is one
+job (in a process pool with --jobs above 1), results print in input order, a
+failed file prints one error line, and a circuit aborted by the time limit
+is skipped with a warning and does not fail the batch.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from . import coverage, mutation, qasm, simulator
@@ -65,6 +70,10 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                              "failing the batch (checked between stages)")
 
 
+def _operator_list(raw: str) -> tuple[str, ...]:
+    return tuple(op.strip() for op in raw.split(",") if op.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcover",
@@ -91,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     mutate = sub.add_parser("mutate", help="run a mutation campaign")
     _common_flags(mutate)
     mutate.add_argument("paths", nargs="+", help=".qasm files or directories")
-    mutate.add_argument("--operators", default="qgr,qgd,qgi",
+    mutate.add_argument("--operators", default="qgr,qgd,qgi", type=_operator_list,
                         help="comma-separated subset of qgr,qgd,qgi")
     mutate.add_argument("--budget", type=int, default=None,
                         help="cap mutants per circuit (seeded subsample)")
@@ -100,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="runtime ratio beyond which a mutant times out")
     mutate.add_argument("--tolerance", type=float, default=mutation.DEFAULT_TOLERANCE,
                         help="statevector equivalence tolerance")
-    mutate.add_argument("--timing", choices=("cost", "wall"), default="cost",
-                        help="runtime proxy: deterministic cost units or wall clock")
     mutate.add_argument("--csv", metavar="PATH", help="write the campaign table")
 
     instr = sub.add_parser("instrument", help="dump transpiled/instrumented circuit")
@@ -150,48 +157,58 @@ def _load(path: Path):
     return circuit
 
 
-def _analyze_circuit(circuit, name: str, seed: int, epsilon: float,
-                     qubit_limit: int, deadline: _Deadline):
+def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
     deadline.check()
     transpiled = transpile(circuit)
     deadline.check()
     probed = instrument(transpiled)
     deadline.check()
-    result = simulator.run(probed, seed=seed, qubit_limit=qubit_limit)
+    result = simulator.run(probed, seed=args.seed, qubit_limit=args.qubit_limit)
     deadline.check()
-    return coverage.analyze(result.probes, transpiled, epsilon=epsilon,
+    return coverage.analyze(result.probes, transpiled, epsilon=args.epsilon,
                             circuit_name=name)
 
 
-def _cover_one(path_str: str, seed: int, epsilon: float, qubit_limit: int,
-               time_limit: float | None = None):
-    """Worker for the cover pipeline; returns (name, report)."""
-    deadline = _Deadline(time_limit)
-    path = Path(path_str)
-    circuit = _load(path)
-    report = _analyze_circuit(circuit, path.name, seed, epsilon, qubit_limit,
-                              deadline)
-    return path.name, report
+def _cover_one(path: Path, args) -> coverage.CoverageReport:
+    """Worker for the cover pipeline."""
+    return _analyze_circuit(_load(path), path.name, args, _Deadline(args.time_limit))
 
 
-def _run_batch(paths: list[Path], jobs: int, worker, *args) -> list[tuple[Path, object, Exception | None]]:
-    """Run worker over paths, preserving order; failures become exceptions."""
-    outcomes: list[tuple[Path, object, Exception | None]] = []
-    if jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, str(p), *args) for p in paths]
-            for path, future in zip(paths, futures):
-                try:
-                    outcomes.append((path, future.result(), None))
-                except Exception as exc:
-                    outcomes.append((path, None, exc))
-        return outcomes
-    for path in paths:
-        try:
-            outcomes.append((path, worker(str(path), *args), None))
-        except Exception as exc:
-            outcomes.append((path, None, exc))
-    return outcomes
+def _attempt(call) -> tuple[object, Exception | None]:
+    try:
+        return call(), None
+    except Exception as exc:
+        return None, exc
+
+
+def _run_batch(args, worker, show) -> int:
+    """Run worker(path, args) over the input paths and show each result.
+
+    With --jobs above 1 the inputs run in a process pool; either way the
+    results are shown in input order, after every input has run.  A failed
+    input prints one error line and makes the exit code 1; one past the
+    time limit prints a skip line and does not.
+    """
+    paths = _expand_paths(args.paths)
+    if not paths:
+        print("qcover: no input files", file=sys.stderr)
+        return 1
+    if args.jobs > 1 and len(paths) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            futures = [pool.submit(worker, path, args) for path in paths]
+            outcomes = [_attempt(future.result) for future in futures]
+    else:
+        outcomes = [_attempt(partial(worker, path, args)) for path in paths]
+    failed = False
+    for path, (result, error) in zip(paths, outcomes):
+        if isinstance(error, _TimeLimit):
+            print(f"qcover: {path}: skipped ({error})", file=sys.stderr)
+        elif error is not None:
+            failed = True
+            print(f"qcover: {path}: {error}", file=sys.stderr)
+        else:
+            show(path, result)
+    return 1 if failed else 0
 
 
 def _print_report(report: coverage.CoverageReport) -> None:
@@ -226,62 +243,55 @@ def _write_json(directory: str, report: coverage.CoverageReport) -> None:
         fh.write("\n")
 
 
+def _unwritable(exc: OSError) -> int:
+    """Report an output path (--json, --csv) that cannot be written."""
+    print(f"qcover: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 1
+
+
 def cmd_cover(args) -> int:
-    paths = _expand_paths(args.paths)
-    if not paths:
-        print("qcover: no input files", file=sys.stderr)
-        return 1
-    outcomes = _run_batch(paths, args.jobs, _cover_one,
-                          args.seed, args.epsilon, args.qubit_limit,
-                          args.time_limit)
     reports = []
-    failed = False
-    for path, result, error in outcomes:
-        if isinstance(error, _TimeLimit):
-            print(f"qcover: {path}: skipped ({error})", file=sys.stderr)
-            continue
-        if error is not None:
-            failed = True
-            print(f"qcover: {path}: {error}", file=sys.stderr)
-            continue
-        _, report = result
+
+    def show(path: Path, report: coverage.CoverageReport) -> None:
         reports.append(report)
-        if not args.quiet:
-            _print_report(report)
-        if args.json:
-            _write_json(args.json, report)
-        if args.shots > 0 and not args.quiet:
-            circuit = _load(path)
-            counts = simulator.sample_counts(circuit, args.shots, seed=args.seed,
+        if args.quiet:
+            return
+        _print_report(report)
+        if args.shots > 0:
+            counts = simulator.sample_counts(_load(path), args.shots, seed=args.seed,
                                              qubit_limit=args.qubit_limit)
             if counts:
                 print(f"  histogram ({args.shots} shots): " +
                       " ".join(f"{k}:{v}" for k, v in counts.items()))
+
+    code = _run_batch(args, _cover_one, show)
     if reports and args.summary and not args.quiet:
         _print_summary(reports)
-    return 1 if failed else 0
+    if args.json:
+        try:
+            for report in reports:
+                _write_json(args.json, report)
+        except OSError as exc:
+            return _unwritable(exc)
+    return code
 
 
-def _mutate_one(path_str: str, seed: int, epsilon: float, qubit_limit: int,
-                operators: tuple[str, ...], budget: int | None,
-                tolerance: float, timeout_factor: float, timing: str,
-                time_limit: float | None = None):
-    deadline = _Deadline(time_limit)
-    path = Path(path_str)
+def _mutate_one(path: Path, args):
+    """Worker for a mutation campaign; returns (result, mutant lines)."""
+    deadline = _Deadline(args.time_limit)
     circuit = _load(path)
-    report = _analyze_circuit(circuit, path.name, seed, epsilon, qubit_limit,
-                              deadline)
-    mutants = mutation.generate_mutants(circuit, operators, seed=seed, budget=budget)
+    report = _analyze_circuit(circuit, path.name, args, deadline)
+    mutants = mutation.generate_mutants(circuit, args.operators, seed=args.seed,
+                                        budget=args.budget)
     verdicts = []
     for mutant in mutants:
         deadline.check()
-        verdicts.append(mutation.judge(circuit, mutant, tolerance, timeout_factor,
-                                       timing=timing, qubit_limit=qubit_limit))
-    result = mutation.campaign(circuit, report, operators,
-                               circuit_name=path.name, seed=seed, budget=budget,
-                               tolerance=tolerance, timeout_factor=timeout_factor,
-                               timing=timing, qubit_limit=qubit_limit,
-                               mutants=mutants, verdicts=verdicts)
+        verdicts.append(mutation.judge(circuit, mutant, args.tolerance,
+                                       args.timeout_factor,
+                                       qubit_limit=args.qubit_limit))
+    result = mutation.campaign(circuit, report, args.operators,
+                               circuit_name=path.name, mutants=mutants,
+                               verdicts=verdicts)
     mutant_lines = tuple(
         f"[{m.mutant_id}] {m.operator} {m.detail} @ {m.site} -> {v.status}"
         + (f" (fidelity {v.fidelity:.6f})" if v.fidelity is not None else "")
@@ -290,58 +300,42 @@ def _mutate_one(path_str: str, seed: int, epsilon: float, qubit_limit: int,
 
 
 def cmd_mutate(args) -> int:
-    operators = tuple(op.strip() for op in args.operators.split(",") if op.strip())
-    for op in operators:
+    for op in args.operators:
         if op not in mutation.OPERATORS:
             print(f"qcover: unknown mutation operator {op!r}", file=sys.stderr)
             return 2
-    if not operators:
+    if not args.operators:
         print("qcover: --operators needs at least one of qgr,qgd,qgi", file=sys.stderr)
         return 2
-    paths = _expand_paths(args.paths)
-    if not paths:
-        print("qcover: no input files", file=sys.stderr)
-        return 1
-
-    outcomes = _run_batch(paths, args.jobs, _mutate_one,
-                          args.seed, args.epsilon, args.qubit_limit, operators,
-                          args.budget, args.tolerance, args.timeout_factor,
-                          args.timing, args.time_limit)
     rows = []
-    failed = False
-    had_engine_errors = False
-    for path, result, error in outcomes:
-        if isinstance(error, _TimeLimit):
-            print(f"qcover: {path}: skipped ({error})", file=sys.stderr)
-            continue
-        if error is not None:
-            failed = True
-            print(f"qcover: {path}: {error}", file=sys.stderr)
-            continue
-        campaign_result, mutant_lines = result
-        rows.append(campaign_result)
-        had_engine_errors |= campaign_result.errors > 0
-        if not args.quiet:
-            score = ("none" if campaign_result.score is None
-                     else f"{campaign_result.score:.4f}")
-            print(f"{campaign_result.circuit_name}: {campaign_result.mutants} mutant(s), "
-                  f"killed {campaign_result.killed}, survived {campaign_result.survived}, "
-                  f"timeout {campaign_result.timeout}, errors {campaign_result.errors}, "
-                  f"score {score}")
-            for op in campaign_result.operators:
-                total, k, s, t = campaign_result.per_operator[op]
-                print(f"  {op}: {total} mutant(s), {k} killed, {s} survived, {t} timeout")
-            for line in mutant_lines:
-                print(f"  {line}")
 
+    def show(path: Path, outcome) -> None:
+        campaign_result, mutant_lines = outcome
+        rows.append(campaign_result)
+        if args.quiet:
+            return
+        score = ("none" if campaign_result.score is None
+                 else f"{campaign_result.score:.4f}")
+        print(f"{campaign_result.circuit_name}: {campaign_result.mutants} mutant(s), "
+              f"killed {campaign_result.killed}, survived {campaign_result.survived}, "
+              f"timeout {campaign_result.timeout}, errors {campaign_result.errors}, "
+              f"score {score}")
+        for op in campaign_result.operators:
+            total, k, s, t = campaign_result.per_operator[op]
+            print(f"  {op}: {total} mutant(s), {k} killed, {s} survived, {t} timeout")
+        for line in mutant_lines:
+            print(f"  {line}")
+
+    code = _run_batch(args, _mutate_one, show)
     if args.csv and rows:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(mutation.csv_header() + "\n")
-            for row in rows:
-                fh.write(row.csv_row() + "\n")
-    if failed or had_engine_errors:
-        return 1
-    return 0
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(mutation.csv_header() + "\n")
+                for row in rows:
+                    fh.write(row.csv_row() + "\n")
+        except OSError as exc:
+            return _unwritable(exc)
+    return 1 if any(row.errors for row in rows) else code
 
 
 def cmd_instrument(args) -> int:

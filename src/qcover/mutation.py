@@ -17,24 +17,21 @@ A mutant is judged against the original by comparing pre-measurement
 statevectors: |<orig|mut>| >= 1 - tolerance means the mutant survived
 (states equal up to global phase), anything less means it was killed.  A
 mutant whose run costs more than timeout_factor times the original's counts
-as a timeout instead.  Runtime can be measured two ways: "cost" charges
-gate-count * 2^n deterministic units (the default everywhere, because
-campaign CSV output must be byte-stable across runs), "wall" takes the
-median of three wall-clock runs.
+as a timeout instead.  Runtime is charged in deterministic cost units,
+executed gates * 2^n, so campaign CSV output is byte-stable across runs.
 
-In cost mode, judge() shares one forward run of the original across calls.
-The first call for an original simulates it once and keeps its final state
-plus a cursor: the original's state before some gate position.  Each later
-call moves the cursor to the end of the prefix of executed gates that the
-mutant shares with the original (starting again from |0...0> when the
-cursor is already past it), copies it, and applies only the mutant's
-remaining gates.  Every amplitude goes through the same apply_gate calls in
-the same order as in two full runs, so states, fidelities and verdicts are
-bit-identical to full re-simulation.  A mutant that times out by cost is
-not simulated at all.  The price is memory: while the original circuit is
-alive, two extra states of 2^n amplitudes each stay held (one original at a
-time; judging another original frees them).  Wall mode measures runtimes,
-so it still runs the original and the mutant in full on every call.
+judge() shares one forward run of the original across calls.  The first
+call for an original simulates it once and keeps its final state plus a
+cursor: the original's state before some gate position.  Each later call
+moves the cursor to the end of the prefix of executed gates that the mutant
+shares with the original (starting again from |0...0> when the cursor is
+already past it), copies it, and applies only the mutant's remaining gates.
+Every amplitude goes through the same apply_gate calls in the same order as
+in two full runs, so states, fidelities and verdicts are bit-identical to
+full re-simulation.  A mutant that times out by cost is not simulated at
+all.  The price is memory: while the original circuit is alive, two extra
+states of 2^n amplitudes each stay held (one original at a time; judging
+another original frees them).
 
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
@@ -42,7 +39,6 @@ cannot change the pre-measurement state this comparison looks at.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from dataclasses import dataclass
 
@@ -108,8 +104,11 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
 
     Enumeration is deterministic: operators in canonical order, sites in
     program order, replacement kinds in class order.  The seed only matters
-    when a budget forces subsampling.
+    when a budget forces subsampling; a negative budget raises
+    MutationError.
     """
+    if budget is not None and budget < 0:
+        raise MutationError(f"budget must not be negative, got {budget}")
     if circuit.has_probes():
         raise MutationError("mutation expects a probe-free circuit")
     for op in operators:
@@ -174,19 +173,6 @@ def _cost_units(circuit: Circuit) -> float:
     return float(gate_count * (1 << circuit.num_qubits))
 
 
-def _wall_statevector(circuit: Circuit,
-                      qubit_limit: int) -> tuple[np.ndarray, float]:
-    # median of 3 wall-clock runs damps scheduler noise
-    samples = []
-    state = None
-    for _ in range(3):
-        start = time.perf_counter()
-        state = statevector_of(circuit, qubit_limit=qubit_limit)
-        samples.append(time.perf_counter() - start)
-    samples.sort()
-    return state, samples[1]
-
-
 def _executed(circuit: Circuit) -> list[GateInstruction]:
     """The gates statevector_of applies, in order."""
     return [i for i in circuit.instructions if i.kind is not GateKind.MEASURE]
@@ -197,7 +183,7 @@ def _op_key(instr: GateInstruction) -> tuple:
 
 
 class _SharedPrefix:
-    """One forward run of an original circuit, reused by cost-mode judge().
+    """One forward run of an original circuit, reused by judge().
 
     final is the original's statevector; cursor is its state after the
     first `position` executed gates.
@@ -263,6 +249,14 @@ def _shared_prefix(original: Circuit, qubit_limit: int) -> _SharedPrefix:
     return slot
 
 
+def _check_thresholds(tolerance: float, timeout_factor: float) -> None:
+    # written as "not (valid)" so that a NaN is rejected too
+    if not 0.0 <= tolerance < 1.0:
+        raise MutationError(f"tolerance must lie in [0, 1), got {tolerance!r}")
+    if not timeout_factor > 0.0:
+        raise MutationError(f"timeout_factor must be positive, got {timeout_factor!r}")
+
+
 def judge(original: Circuit, mutant: Mutant,
           tolerance: float = DEFAULT_TOLERANCE,
           timeout_factor: float = DEFAULT_TIMEOUT_FACTOR, *,
@@ -272,43 +266,34 @@ def judge(original: Circuit, mutant: Mutant,
 
     Simulation failures, and a mutant whose qubit count differs from the
     original's, yield an 'error' verdict rather than raising, so a campaign
-    can keep going.  In cost mode the original's run is shared with the
-    previous call when `original` is the same object and `qubit_limit` is
-    unchanged, and only the mutant's gates after its common prefix with the
-    original are applied; this holds two extra states of the original's size
-    for as long as the original circuit lives.  Wall mode simulates both
-    circuits in full, three times each.
+    can keep going.  The original's run is shared with the previous call
+    when `original` is the same object and `qubit_limit` is unchanged, and
+    only the mutant's gates after its common prefix with the original are
+    applied; this holds two extra states of the original's size for as long
+    as the original circuit lives.  Runtimes are cost units; `timing`
+    accepts only "cost".  Raises MutationError for a tolerance outside
+    [0, 1) or a timeout_factor that is not positive.
     """
-    if timing not in ("wall", "cost"):
+    if timing != "cost":
         raise MutationError(f"unknown timing mode {timing!r}")
+    _check_thresholds(tolerance, timeout_factor)
     error = MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
     # generated mutants keep the width; a hand-built one may not
     if mutant.circuit.num_qubits != original.num_qubits:
         return error
-    if timing == "wall":
-        try:
-            ref_state, ref_time = _wall_statevector(original, qubit_limit)
-            mut_state, mut_time = _wall_statevector(mutant.circuit, qubit_limit)
-        except Exception:
-            return error
-        if mut_time > timeout_factor * ref_time:
-            return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
-    else:
-        try:
-            prefix = _shared_prefix(original, qubit_limit)
-            check_statevector_input(mutant.circuit, qubit_limit)
-        except Exception:
-            return error
-        ref_time, mut_time = prefix.cost, _cost_units(mutant.circuit)
-        if mut_time > timeout_factor * ref_time:
-            return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
-        try:
-            mut_state = prefix.statevector_of(mutant.circuit)
-        except Exception:
-            return error
-        ref_state = prefix.final
-
-    fid = fidelity(ref_state, mut_state)
+    try:
+        prefix = _shared_prefix(original, qubit_limit)
+        check_statevector_input(mutant.circuit, qubit_limit)
+    except Exception:
+        return error
+    ref_time, mut_time = prefix.cost, _cost_units(mutant.circuit)
+    if mut_time > timeout_factor * ref_time:
+        return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
+    try:
+        mut_state = prefix.statevector_of(mutant.circuit)
+    except Exception:
+        return error
+    fid = fidelity(prefix.final, mut_state)
     status = "survived" if fid >= 1.0 - tolerance else "killed"
     return MutantVerdict(mutant.mutant_id, status, fid, ref_time, mut_time)
 
@@ -366,23 +351,25 @@ def campaign(circuit: Circuit, report: CoverageReport,
              circuit_name: str = "", seed: int = 0, budget: int | None = None,
              tolerance: float = DEFAULT_TOLERANCE,
              timeout_factor: float = DEFAULT_TIMEOUT_FACTOR,
-             timing: str = "cost",
              qubit_limit: int = DEFAULT_QUBIT_LIMIT,
              mutants: list[Mutant] | None = None,
              verdicts: list[MutantVerdict] | None = None) -> CampaignResult:
     """Generate, judge, and tally every mutant of one circuit.
 
     Pre-generated mutants and verdicts may be supplied (the CLI judges them
-    itself so it can enforce a time limit).  Engine errors on individual
+    itself so it can enforce a time limit); then seed, budget, tolerance,
+    timeout_factor and qubit_limit go unused.  Engine errors on individual
     mutants are tallied without aborting; the caller decides how to surface
-    them (the CLI exits nonzero).
+    them (the CLI exits nonzero).  Raises MutationError for the argument
+    values that judge() and generate_mutants() reject.
     """
+    _check_thresholds(tolerance, timeout_factor)
     operators = tuple(sorted(set(operators)))
     if mutants is None:
         mutants = generate_mutants(circuit, operators, seed=seed, budget=budget)
     if verdicts is None:
         verdicts = [judge(circuit, mutant, tolerance, timeout_factor,
-                          timing=timing, qubit_limit=qubit_limit)
+                          qubit_limit=qubit_limit)
                     for mutant in mutants]
     if len(verdicts) != len(mutants):
         raise MutationError("verdict list does not match the mutant list")

@@ -16,9 +16,10 @@ grammar, restricted to the gate vocabulary in ir.GateKind:
                  + - * / ^, unary -, and sin/cos/tan/exp/ln/sqrt
 
 User-defined `gate` bodies are inlined at call time with parameters folded to
-64-bit floats.  Registers map to flat qubit/clbit index spaces in declaration
-order.  `opaque`, `reset`, and `if` are rejected with diagnostics, as is any
-non-2.0 version header.
+64-bit floats.  A body may call only builtins and gates declared before it,
+so no gate can call itself.  Registers map to flat qubit/clbit index spaces
+in declaration order.  `opaque`, `reset`, and `if` are rejected with
+diagnostics, as is any non-2.0 version header.
 
 Aliases accepted for compatibility with older emitters: U -> u, CX -> cx,
 u1 -> p, u3 -> u, u2(phi,lam) -> u(pi/2, phi, lam).
@@ -277,6 +278,11 @@ class _Parser:
                 while not self.accept("SYM", ";"):
                     self.advance()
                 continue
+            # OpenQASM 2.0 bodies call only builtins and earlier gates, which
+            # also rules out recursion through the gate being declared
+            if not self.is_gate(op_tok.text):
+                raise self.error(f"gate body calls {op_tok.text!r}, which is not a "
+                                 "builtin or previously defined gate", op_tok)
             op_params: list = []
             if self.accept("SYM", "("):
                 if not self.accept("SYM", ")"):
@@ -295,6 +301,15 @@ class _Parser:
         if name in self.gate_defs:
             raise self.error(f"gate {name!r} already defined", name_tok)
         self.gate_defs[name] = _GateDef(name, tuple(params), tuple(qargs), tuple(body))
+
+    def is_gate(self, name: str) -> bool:
+        """Whether apply_single accepts this name (operand counts aside)."""
+        if name in self._ALIASES or name in self.gate_defs:
+            return True
+        try:
+            return GateKind(name) not in (GateKind.MEASURE, GateKind.BARRIER)
+        except ValueError:
+            return False
 
     # -- expressions ------------------------------------------------------
 

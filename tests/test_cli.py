@@ -228,3 +228,24 @@ def test_cover_shots_histogram(capsys):
     out = capsys.readouterr().out
     assert "histogram (64 shots)" in out
     assert "0:64" in out  # equal swap-test inputs always measure 0
+
+
+def test_timing_flag_is_gone(capsys):
+    # mutants time out by cost units only
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mutate", SWAP, "--timing", "cost"])
+    assert excinfo.value.code == 2
+    assert "--timing" in capsys.readouterr().err
+
+
+def test_json_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):
+    target = tmp_path / "afile"
+    target.write_text("")
+    assert main(["cover", SWAP, "--json", str(target), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"qcover: {target}: File exists\n"
+
+
+def test_csv_path_that_is_a_dir_fails_cleanly(tmp_path, capsys):
+    assert main(["mutate", SWAP, "--operators", "qgd", "--quiet",
+                 "--csv", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"qcover: {tmp_path}: Is a directory\n"

@@ -254,3 +254,40 @@ def test_campaign_counts_errors_without_aborting():
                       qubit_limit=2)
     assert result.errors == result.mutants == 2
     assert result.score is None
+
+
+def test_judge_accepts_only_cost_timing():
+    circuit = parse(SWAP_TEST_QASM)
+    mutant = generate_mutants(circuit, ("qgd",))[0]
+    assert judge(circuit, mutant, timing="cost").status == "killed"
+    with pytest.raises(MutationError, match="timing"):
+        judge(circuit, mutant, timing="wall")
+
+
+_BAD_THRESHOLDS = [
+    {"tolerance": 1.0}, {"tolerance": -1.0}, {"tolerance": math.nan},
+    {"timeout_factor": 0.0}, {"timeout_factor": -1.0},
+    {"timeout_factor": math.nan},
+]
+_BAD_THRESHOLD_IDS = ["tolerance-one", "tolerance-negative", "tolerance-nan",
+                      "timeout-zero", "timeout-negative", "timeout-nan"]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_THRESHOLDS, ids=_BAD_THRESHOLD_IDS)
+def test_judge_rejects_bad_thresholds(kwargs):
+    # the CLI's rules: tolerance in [0, 1), timeout factor above 0
+    circuit = parse(SWAP_TEST_QASM)
+    mutant = generate_mutants(circuit, ("qgd",))[0]
+    with pytest.raises(MutationError):
+        judge(circuit, mutant, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", _BAD_THRESHOLDS + [{"budget": -1}],
+                         ids=_BAD_THRESHOLD_IDS + ["budget-negative"])
+def test_campaign_rejects_bad_arguments(kwargs):
+    # a negative budget is refused by generate_mutants, not by numpy
+    circuit = parse(SWAP_TEST_QASM)
+    t = transpile(circuit)
+    report = analyze(run(instrument(t)).probes, t, circuit_name="swap_test.qasm")
+    with pytest.raises(MutationError):
+        campaign(circuit, report, ("qgd",), **kwargs)

@@ -127,6 +127,19 @@ def test_unsupported_gate_is_named():
         parse('OPENQASM 2.0;\nqreg q[2];\nrxx(0.1) q[0],q[1];\n')
 
 
+@pytest.mark.parametrize("decls", [
+    "gate g a { g a; }\ng q[0];",
+    "gate a x { b x; }\ngate b x { a x; }\na q[0];",
+], ids=["self", "mutual"])
+def test_recursive_gate_is_a_diagnostic(decls):
+    # a body may call only builtins and earlier gates; the span is the
+    # first body op that breaks this, on line 3
+    with pytest.raises(QasmError, match="not a builtin or previously defined") as info:
+        parse(f"OPENQASM 2.0;\nqreg q[1];\n{decls}\n", filename="r.qasm")
+    span = info.value.span
+    assert (span.file, span.line, span.col_start, span.col_end) == ("r.qasm", 3, 12, 13)
+
+
 def test_reset_opaque_if_rejected():
     for body in ("reset q[0];", "opaque magic a;", "if (c==1) x q[0];"):
         with pytest.raises(QasmError):
