@@ -1,4 +1,5 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
+import hashlib
 import json
 import os
 import subprocess
@@ -228,6 +229,18 @@ def test_cover_shots_histogram(capsys):
     out = capsys.readouterr().out
     assert "histogram (64 shots)" in out
     assert "0:64" in out  # equal swap-test inputs always measure 0
+
+
+# sha256 of exit code, stdout and stderr of `cover corpus --shots 64`
+SHOTS_DIGEST = "9a76128b83fd130db98c1de964e313740ae298ba1b771bb6fc88618130ac4e6c"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cover_shots_corpus_output_is_frozen(jobs, capsys):
+    code = main(["cover", str(CORPUS), "--shots", "64", "--jobs", jobs])
+    captured = capsys.readouterr()
+    text = "\v".join((str(code), captured.out, captured.err))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHOTS_DIGEST
 
 
 def test_timing_flag_is_gone(capsys):
