@@ -17,7 +17,6 @@ from .ir import (
     GateKind,
     Probe,
     Violation,
-    controlled_gate_inventory,
     validate,
 )
 from .mutation import (

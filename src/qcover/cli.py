@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import coverage, mutation, qasm, simulator
 from .probes import instrument, render
-from .ir import controlled_gate_inventory, validate
+from .ir import validate
 from .transpiler import provenance_report, transpile
 
 _METRICS = ("condition", "decision", "path")
@@ -346,7 +346,7 @@ def cmd_instrument(args) -> int:
     except Exception as exc:
         print(f"qcover: {path}: {exc}", file=sys.stderr)
         return 1
-    if not controlled_gate_inventory(circuit):
+    if not transpiled.origins:
         print("// fully sequential circuit: no controlled gates, "
               "coverage is 100% by definition")
     if args.stage == "transpiled":

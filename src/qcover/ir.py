@@ -6,7 +6,7 @@ Contains:
     - GateSpec / SPECS: per-kind arity, parameter count, control positions
     - GateInstruction, Probe: the instruction types
     - Circuit: immutable ordered instruction list over flat qubit/clbit spaces
-    - controlled_gate_inventory(), validate(), renumber(), circuits_equal()
+    - validate(), renumber()
 
 Qubit indices are flat (registers are resolved by the frontend) and the
 statevector convention downstream is little-endian: qubit 0 is the least
@@ -76,15 +76,14 @@ class GateSpec:
 
     num_qubits is None for barrier (variable arity).  controls lists the
     operand positions acting as computational-basis controls; kinds in the
-    controlled family that have no such control (dcx, ecr) carry
-    no_control=True and are excluded from coverage bookkeeping.
+    controlled family with no such control (dcx, ecr) have controls == ()
+    and are excluded from coverage bookkeeping.
     """
 
     num_qubits: int | None
     num_params: int
     controlled: bool = False
     controls: tuple[int, ...] = ()
-    no_control: bool = False
 
 
 SPECS: dict[GateKind, GateSpec] = {
@@ -126,8 +125,8 @@ SPECS: dict[GateKind, GateSpec] = {
     GateKind.CSWAP: GateSpec(3, 0, controlled=True, controls=(0,)),
     # dcx and ecr belong to the controlled family but act unconditionally:
     # no computational-basis control qubit exists for them.
-    GateKind.DCX: GateSpec(2, 0, controlled=True, no_control=True),
-    GateKind.ECR: GateSpec(2, 0, controlled=True, no_control=True),
+    GateKind.DCX: GateSpec(2, 0, controlled=True),
+    GateKind.ECR: GateSpec(2, 0, controlled=True),
     GateKind.MEASURE: GateSpec(1, 0),
     GateKind.BARRIER: GateSpec(None, 0),
 }
@@ -205,25 +204,6 @@ def renumber(instructions: list[Instruction] | tuple[Instruction, ...]) -> tuple
     return tuple(out)
 
 
-def controlled_gate_inventory(
-    circuit: Circuit,
-) -> list[tuple[int, GateKind, tuple[int, ...]]]:
-    """All controlled gates with at least one control qubit, in program order.
-
-    Returns (instruction id, kind, control qubit indices) triples.  Probes and
-    kinds flagged no_control never appear.
-    """
-    out = []
-    for instr in circuit.instructions:
-        if not isinstance(instr, GateInstruction):
-            continue
-        spec = SPECS[instr.kind]
-        if spec.controlled and not spec.no_control:
-            controls = tuple(instr.qubits[i] for i in spec.controls)
-            out.append((instr.id, instr.kind, controls))
-    return out
-
-
 @dataclass(frozen=True)
 class Violation:
     """One invariant violation found by validate()."""
@@ -288,25 +268,3 @@ def validate(circuit: Circuit) -> list[Violation]:
             violations.append(Violation(instr.id, "barrier needs at least one qubit"))
 
     return violations
-
-
-def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:
-    """Instruction-by-instruction structural equality with an angle tolerance."""
-    if (a.num_qubits, a.num_clbits) != (b.num_qubits, b.num_clbits):
-        return False
-    if len(a.instructions) != len(b.instructions):
-        return False
-    for x, y in zip(a.instructions, b.instructions):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Probe):
-            if (x.mode, x.qubit, x.label) != (y.mode, y.qubit, y.label):
-                return False
-            continue
-        if (x.kind, x.qubits, x.clbits) != (y.kind, y.qubits, y.clbits):
-            return False
-        if len(x.params) != len(y.params):
-            return False
-        if any(abs(p - q) > angle_tol for p, q in zip(x.params, y.params)):
-            return False
-    return True

@@ -37,7 +37,6 @@ class OriginProbeSet:
     """All probe points belonging to one origin controlled gate."""
 
     origin: Origin
-    ordinal: int           # gi, per-kind program-order ordinal
     cx_points: tuple[ProbePoint, ...]        # one per origin.cx_positions entry
     decision_points: tuple[ProbePoint, ...]  # one per origin.controls entry
 
@@ -61,7 +60,7 @@ def probe_plan(t: TranspiledCircuit) -> list[OriginProbeSet]:
         decision_points = tuple(
             ProbePoint(k, q, f"{name}_value_{k}", f"{name}_probability_{k}")
             for k, q in enumerate(origin.controls, start=1))
-        plan.append(OriginProbeSet(origin, gi, cx_points, decision_points))
+        plan.append(OriginProbeSet(origin, cx_points, decision_points))
     return plan
 
 

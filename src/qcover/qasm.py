@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import Circuit, GateInstruction, GateKind, Instruction, SPECS
 
@@ -65,50 +66,45 @@ class SerializationError(Exception):
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<WS>       [ \t\r]+)
-    | (?P<NEWLINE>  \n)
-    | (?P<COMMENT>  //[^\n]*)
+      (?P<SKIP>     [ \t\r\n]+ | //[^\n]*)
     | (?P<REAL>     (\d+\.\d*|\.\d+)([eE][+-]?\d+)? | \d+[eE][+-]?\d+)
     | (?P<INT>      \d+)
     | (?P<ID>       [a-zA-Z_][a-zA-Z0-9_]*)
     | (?P<STRING>   "[^"\n]*")
     | (?P<ARROW>    ->)
     | (?P<SYM>      [{}\[\]();,+\-*/^=<>!])
+    | (?P<BAD>      [\s\S])
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the token's first character in the source
+
+
+def _error(source: str, filename: str, message: str, tok: _Token) -> QasmError:
+    """A diagnostic at tok, with its line and column found from tok.pos."""
+    line_start = source.rfind("\n", 0, tok.pos)  # -1 on the first line
+    col = tok.pos - line_start
+    span = SourceSpan(filename, source.count("\n", 0, tok.pos) + 1,
+                      col, col + max(len(tok.text), 1))
+    return QasmError(message, span)
 
 
 def _tokenize(source: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise QasmError(
-                f"unexpected character {source[pos]!r}",
-                SourceSpan(filename, line, col, col + 1),
-            )
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        if kind == "NEWLINE":
-            line += 1
-            col = 1
-        elif kind in ("WS", "COMMENT"):
-            col += len(text)
-        else:
-            tokens.append(_Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+        if kind == "SKIP":
+            continue
+        tok = _Token(kind, m.group(), m.start())
+        if kind == "BAD":
+            raise _error(source, filename, f"unexpected character {tok.text!r}", tok)
+        tokens.append(tok)
+    tokens.append(_Token("EOF", "", len(source)))
     return tokens
 
 
@@ -136,7 +132,7 @@ class _GateDef:
     params: tuple[str, ...]
     qargs: tuple[str, ...]
     # body ops hold unevaluated parameter ASTs so angles fold per call site
-    body: tuple[tuple[str, tuple["_Expr", ...], tuple[str, ...], SourceSpan], ...]
+    body: tuple[tuple[str, tuple["_Expr", ...], tuple[str, ...], _Token], ...]
 
 
 _Expr = tuple  # small AST tuples: ("num", v) ("param", name) ("bin", op, l, r) ...
@@ -144,9 +140,10 @@ _Expr = tuple  # small AST tuples: ("num", v) ("param", name) ("bin", op, l, r) 
 
 class _Parser:
     def __init__(self, source: str, filename: str):
+        self.source = source
+        self.filename = filename
         self.tokens = _tokenize(source, filename)
         self.pos = 0
-        self.filename = filename
         self.qregs: dict[str, _Reg] = {}
         self.cregs: dict[str, _Reg] = {}
         self.gate_defs: dict[str, _GateDef] = {}
@@ -166,12 +163,8 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def span(self, tok: _Token) -> SourceSpan:
-        return SourceSpan(self.filename, tok.line, tok.col, tok.col + max(len(tok.text), 1))
-
     def error(self, message: str, tok: _Token | None = None) -> QasmError:
-        tok = tok or self.peek()
-        return QasmError(message, self.span(tok))
+        return _error(self.source, self.filename, message, tok or self.peek())
 
     def expect(self, type_: str, text: str | None = None) -> _Token:
         tok = self.peek()
@@ -270,7 +263,7 @@ class _Parser:
         while self.accept("SYM", ","):
             qargs.append(self.expect("ID").text)
         self.expect("SYM", "{")
-        body: list[tuple[str, tuple, tuple[str, ...], SourceSpan]] = []
+        body: list[tuple[str, tuple, tuple[str, ...], _Token]] = []
         while not self.accept("SYM", "}"):
             op_tok = self.expect("ID")
             if op_tok.text == "barrier":
@@ -297,7 +290,7 @@ class _Parser:
             for qa in op_qargs:
                 if qa not in qargs:
                     raise self.error(f"unknown qubit argument {qa!r} in gate body", op_tok)
-            body.append((op_tok.text, tuple(op_params), tuple(op_qargs), self.span(op_tok)))
+            body.append((op_tok.text, tuple(op_params), tuple(op_qargs), op_tok))
         if name in self.gate_defs:
             raise self.error(f"gate {name!r} already defined", name_tok)
         self.gate_defs[name] = _GateDef(name, tuple(params), tuple(qargs), tuple(body))
@@ -372,22 +365,22 @@ class _Parser:
             return node
         raise self.error(f"expected expression, found {tok.text!r}", tok)
 
-    def eval_expr(self, node: _Expr, env: dict[str, float], span: SourceSpan) -> float:
+    def eval_expr(self, node: _Expr, env: dict[str, float], tok: _Token) -> float:
         tag = node[0]
         if tag == "num":
             return node[1]
         if tag == "param":
             return env[node[1]]
         if tag == "neg":
-            return -self.eval_expr(node[1], env, span)
+            return -self.eval_expr(node[1], env, tok)
         if tag == "fun":
             try:
-                return _FUNCS[node[1]](self.eval_expr(node[2], env, span))
+                return _FUNCS[node[1]](self.eval_expr(node[2], env, tok))
             except ValueError as exc:
-                raise QasmError(f"math error in parameter: {exc}", span) from None
+                raise self.error(f"math error in parameter: {exc}", tok) from None
         _, op, left, right = node
-        a = self.eval_expr(left, env, span)
-        b = self.eval_expr(right, env, span)
+        a = self.eval_expr(left, env, tok)
+        b = self.eval_expr(right, env, tok)
         try:
             if op == "+":
                 return a + b
@@ -397,14 +390,14 @@ class _Parser:
                 return a * b
             if op == "/":
                 if b == 0.0:
-                    raise QasmError("division by zero in parameter", span)
+                    raise self.error("division by zero in parameter", tok)
                 return a / b
             value = a ** b
             if isinstance(value, complex):  # negative base, fractional power
-                raise QasmError("parameter expression is not real", span)
+                raise self.error("parameter expression is not real", tok)
             return value
         except (OverflowError, ZeroDivisionError) as exc:
-            raise QasmError(f"math error in parameter: {exc}", span) from None
+            raise self.error(f"math error in parameter: {exc}", tok) from None
 
     # -- quantum operations -----------------------------------------------
 
@@ -435,7 +428,7 @@ class _Parser:
         if len(src) != len(dst):
             raise self.error("measure arguments have mismatched sizes", tok)
         for q, c in zip(src, dst):
-            self.emit(GateKind.MEASURE, (), (q,), (c,), self.span(tok))
+            self.emit(GateKind.MEASURE, (), (q,), (c,), tok)
 
     def barrier(self) -> None:
         tok = self.advance()
@@ -443,7 +436,7 @@ class _Parser:
         while self.accept("SYM", ","):
             qubits.extend(self.argument(want_qreg=True))
         self.expect("SYM", ";")
-        self.emit(GateKind.BARRIER, (), tuple(qubits), (), self.span(tok))
+        self.emit(GateKind.BARRIER, (), tuple(qubits), (), tok)
 
     _ALIASES = {"U": ("u", 3), "CX": ("cx", 0), "u1": ("p", 1),
                 "u2": ("u2", 2), "u3": ("u", 3)}
@@ -454,18 +447,18 @@ class _Parser:
         params: list[float] = []
         if self.accept("SYM", "("):
             if not self.accept("SYM", ")"):
-                params.append(self.eval_expr(self.expr_ast(()), {}, self.span(name_tok)))
+                params.append(self.eval_expr(self.expr_ast(()), {}, name_tok))
                 while self.accept("SYM", ","):
-                    params.append(self.eval_expr(self.expr_ast(()), {}, self.span(name_tok)))
+                    params.append(self.eval_expr(self.expr_ast(()), {}, name_tok))
                 self.expect("SYM", ")")
         args = [self.argument(want_qreg=True)]
         while self.accept("SYM", ","):
             args.append(self.argument(want_qreg=True))
         self.expect("SYM", ";")
-        self.apply_named(name, params, args, self.span(name_tok))
+        self.apply_named(name, params, args, name_tok)
 
     def apply_named(self, name: str, params: list[float],
-                    args: list[list[int]], span: SourceSpan) -> None:
+                    args: list[list[int]], tok: _Token) -> None:
         """Apply a gate by name to (possibly register-wide) argument lists."""
         # OpenQASM broadcast rule: whole registers must share one length and
         # single qubits repeat across it.
@@ -473,66 +466,66 @@ class _Parser:
         for a in args:
             if len(a) > 1:
                 if length not in (1, len(a)):
-                    raise QasmError("mismatched register sizes in gate operands", span)
+                    raise self.error("mismatched register sizes in gate operands", tok)
                 length = len(a)
         for i in range(length):
             operands = tuple(a[i] if len(a) > 1 else a[0] for a in args)
-            self.apply_single(name, params, operands, span)
+            self.apply_single(name, params, operands, tok)
 
     def apply_single(self, name: str, params: list[float],
-                     qubits: tuple[int, ...], span: SourceSpan) -> None:
+                     qubits: tuple[int, ...], tok: _Token) -> None:
         if name in self._ALIASES:
             target, nparams = self._ALIASES[name]
             if len(params) != nparams:
-                raise QasmError(
-                    f"{name} takes {nparams} parameter(s), got {len(params)}", span)
+                raise self.error(
+                    f"{name} takes {nparams} parameter(s), got {len(params)}", tok)
             if target == "u2":
-                self.apply_single("u", [math.pi / 2, params[0], params[1]], qubits, span)
+                self.apply_single("u", [math.pi / 2, params[0], params[1]], qubits, tok)
             else:
-                self.apply_single(target, params, qubits, span)
+                self.apply_single(target, params, qubits, tok)
             return
         if name in self.gate_defs:
-            self.inline_call(self.gate_defs[name], params, qubits, span)
+            self.inline_call(self.gate_defs[name], params, qubits, tok)
             return
         try:
             kind = GateKind(name)
         except ValueError:
-            raise QasmError(f"unsupported gate {name!r}", span) from None
+            raise self.error(f"unsupported gate {name!r}", tok) from None
         if kind in (GateKind.MEASURE, GateKind.BARRIER):
-            raise QasmError(f"unsupported gate {name!r}", span)
+            raise self.error(f"unsupported gate {name!r}", tok)
         spec = SPECS[kind]
         if len(params) != spec.num_params:
-            raise QasmError(
-                f"{name} takes {spec.num_params} parameter(s), got {len(params)}", span)
+            raise self.error(
+                f"{name} takes {spec.num_params} parameter(s), got {len(params)}", tok)
         if len(qubits) != spec.num_qubits:
-            raise QasmError(
-                f"{name} takes {spec.num_qubits} qubit(s), got {len(qubits)}", span)
+            raise self.error(
+                f"{name} takes {spec.num_qubits} qubit(s), got {len(qubits)}", tok)
         if len(set(qubits)) != len(qubits):
-            raise QasmError(f"duplicate qubit operand in {name}", span)
-        self.emit(kind, tuple(params), qubits, (), span)
+            raise self.error(f"duplicate qubit operand in {name}", tok)
+        self.emit(kind, tuple(params), qubits, (), tok)
 
     def inline_call(self, gd: _GateDef, params: list[float],
-                    qubits: tuple[int, ...], span: SourceSpan) -> None:
+                    qubits: tuple[int, ...], tok: _Token) -> None:
         if len(params) != len(gd.params):
-            raise QasmError(
-                f"{gd.name} takes {len(gd.params)} parameter(s), got {len(params)}", span)
+            raise self.error(
+                f"{gd.name} takes {len(gd.params)} parameter(s), got {len(params)}", tok)
         if len(qubits) != len(gd.qargs):
-            raise QasmError(
-                f"{gd.name} takes {len(gd.qargs)} qubit(s), got {len(qubits)}", span)
+            raise self.error(
+                f"{gd.name} takes {len(gd.qargs)} qubit(s), got {len(qubits)}", tok)
         env = dict(zip(gd.params, params))
         qmap = dict(zip(gd.qargs, qubits))
-        for op_name, op_params, op_qargs, op_span in gd.body:
-            values = [self.eval_expr(ast, env, op_span) for ast in op_params]
+        for op_name, op_params, op_qargs, op_tok in gd.body:
+            values = [self.eval_expr(ast, env, op_tok) for ast in op_params]
             operands = tuple(qmap[qa] for qa in op_qargs)
-            self.apply_single(op_name, values, operands, op_span)
+            self.apply_single(op_name, values, operands, op_tok)
 
     def emit(self, kind: GateKind, params: tuple[float, ...],
              qubits: tuple[int, ...], clbits: tuple[int, ...],
-             span: SourceSpan) -> None:
+             tok: _Token) -> None:
         try:
             instr = GateInstruction(self.next_id, kind, qubits, params, clbits)
         except ValueError as exc:
-            raise QasmError(str(exc), span) from None
+            raise self.error(str(exc), tok) from None
         self.instructions.append(instr)
         self.next_id += 1
 

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from math import pi
 from typing import Callable
 
-from .ir import (
-    SPECS,
-    Circuit,
-    GateInstruction,
-    GateKind,
-    Instruction,
-    renumber,
-)
+from .ir import SPECS, Circuit, GateInstruction, GateKind, Instruction
 
 
 class TranspileError(Exception):
@@ -272,24 +265,28 @@ def transpile(circuit: Circuit) -> TranspiledCircuit:
     if circuit.has_probes():
         raise TranspileError("transpile expects a probe-free circuit")
 
+    # every output instruction is built once, with its position as its id
     out: list[Instruction] = []
     origins: list[Origin] = []
     for instr in circuit.instructions:
         assert isinstance(instr, GateInstruction)
         spec = SPECS[instr.kind]
         if not spec.controlled:
+            if instr.id != len(out):
+                instr = GateInstruction(len(out), instr.kind, instr.qubits,
+                                        instr.params, instr.clbits)
             out.append(instr)
             continue
         start = len(out)
         for kind, values, qubits in RULES[instr.kind].expand(instr.params, instr.qubits):
-            out.append(GateInstruction(0, kind, qubits, values))
-        if not spec.no_control:
+            out.append(GateInstruction(len(out), kind, qubits, values))
+        if spec.controls:
             origins.append(Origin(
                 instr.id, instr.kind, tuple(instr.qubits[i] for i in spec.controls),
                 tuple(pos for pos in range(start, len(out)) if out[pos].kind is GateKind.CX),
                 len(out)))
 
-    result = Circuit(circuit.num_qubits, circuit.num_clbits, renumber(out))
+    result = Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out))
     return TranspiledCircuit(result, tuple(origins))
 
 

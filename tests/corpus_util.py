@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from qcover.ir import SPECS, Circuit, GateInstruction, GateKind
+from qcover.ir import SPECS, Circuit, GateInstruction, GateKind, Probe
 
 SWAP_TEST_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -29,6 +29,28 @@ def build(num_qubits: int, num_clbits: int, ops) -> Circuit:
         clbits = tuple(op[3]) if len(op) > 3 else ()
         instructions.append(GateInstruction(i, kind, qubits, params, clbits))
     return Circuit(num_qubits, num_clbits, tuple(instructions))
+
+
+def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:
+    """Instruction-by-instruction structural equality with an angle tolerance."""
+    if (a.num_qubits, a.num_clbits) != (b.num_qubits, b.num_clbits):
+        return False
+    if len(a.instructions) != len(b.instructions):
+        return False
+    for x, y in zip(a.instructions, b.instructions):
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Probe):
+            if (x.mode, x.qubit, x.label) != (y.mode, y.qubit, y.label):
+                return False
+            continue
+        if (x.kind, x.qubits, x.clbits) != (y.kind, y.qubits, y.clbits):
+            return False
+        if len(x.params) != len(y.params):
+            return False
+        if any(abs(p - q) > angle_tol for p, q in zip(x.params, y.params)):
+            return False
+    return True
 
 
 # gate pool for random circuits, weighted toward common kinds

@@ -1,9 +1,9 @@
 """Probe insertion: labels, placement, counts, and stripping."""
 import numpy as np
 
-from corpus_util import SWAP_TEST_QASM, build, random_circuit
+from corpus_util import SWAP_TEST_QASM, build, circuits_equal, random_circuit
 from qcover.probes import instrument, strip_probes, render
-from qcover.ir import GateKind, Probe, circuits_equal, validate
+from qcover.ir import GateKind, Probe, validate
 from qcover.qasm import parse
 from qcover.transpiler import transpile
 

@@ -8,12 +8,12 @@ from qcover.ir import (
     GateInstruction,
     GateKind,
     Probe,
-    controlled_gate_inventory,
     renumber,
     validate,
 )
 from corpus_util import SWAP_TEST_QASM, build
 from qcover.qasm import parse
+from qcover.transpiler import TranspileError, transpile
 
 
 def test_twenty_two_controlled_kinds():
@@ -36,12 +36,6 @@ def test_control_counts_match_name_convention():
         assert len(spec.controls) == expected, kind
 
 
-def test_no_control_flags():
-    assert SPECS[GateKind.DCX].no_control
-    assert SPECS[GateKind.ECR].no_control
-    assert not SPECS[GateKind.CSWAP].no_control
-
-
 def test_arity_enforced_at_construction():
     with pytest.raises(ValueError):
         GateInstruction(0, GateKind.CX, (0,))
@@ -51,36 +45,35 @@ def test_arity_enforced_at_construction():
 
 def test_inventory_swap_test():
     circuit = parse(SWAP_TEST_QASM)
-    inventory = controlled_gate_inventory(circuit)
-    assert len(inventory) == 1
-    gate_id, kind, controls = inventory[0]
-    assert kind is GateKind.CSWAP
-    assert controls == (0,)
-    assert circuit.instructions[1].id == gate_id
+    (origin,) = transpile(circuit).origins
+    assert origin.kind is GateKind.CSWAP
+    assert origin.controls == (0,)
+    assert circuit.instructions[1].id == origin.id
 
 
 def test_inventory_sequential_circuit_is_empty():
     circuit = build(2, 0, [(GateKind.H, (0,)), (GateKind.X, (1,))])
-    assert controlled_gate_inventory(circuit) == []
+    assert transpile(circuit).origins == ()
 
 
 def test_inventory_ccx_then_cx():
     circuit = build(3, 0, [(GateKind.CCX, (0, 1, 2)), (GateKind.CX, (2, 0))])
-    inventory = controlled_gate_inventory(circuit)
-    assert [(k, c) for _, k, c in inventory] == [
+    origins = transpile(circuit).origins
+    assert [(o.kind, o.controls) for o in origins] == [
         (GateKind.CCX, (0, 1)), (GateKind.CX, (2,))]
 
 
 def test_inventory_skips_no_control_kinds():
     circuit = build(2, 0, [(GateKind.DCX, (0, 1)), (GateKind.ECR, (0, 1))])
-    assert controlled_gate_inventory(circuit) == []
+    assert transpile(circuit).origins == ()
 
 
-def test_inventory_ignores_probes():
+def test_inventory_rejects_probes():
     circuit = parse(SWAP_TEST_QASM)
     probed = Circuit(3, 1, circuit.instructions + (
         Probe(99, "expectation", 0, "x_1_value_1"),))
-    assert controlled_gate_inventory(probed) == controlled_gate_inventory(circuit)
+    with pytest.raises(TranspileError, match="probe-free"):
+        transpile(probed)
 
 
 def test_validate_ok():

@@ -1,15 +1,20 @@
 """OpenQASM 2.0 frontend: parsing, serialization, diagnostics, fuzz totality."""
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus_util import SWAP_TEST_QASM, build, random_circuit
+import lexer_oracle
+from corpus_util import SWAP_TEST_QASM, build, circuits_equal, random_circuit
 import numpy as np
 
-from qcover.ir import GateKind, circuits_equal, validate
-from qcover.qasm import QasmError, SerializationError, parse, serialize
+from qcover import qasm
+from qcover.ir import GateKind, validate
+from qcover.qasm import QasmError, SerializationError, parse, parse_file, serialize
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_swap_test_parses():
@@ -215,3 +220,59 @@ def test_parser_total_on_structured_fuzz(text):
         parse(text)
     except QasmError:
         pass
+
+
+def test_successful_parse_builds_no_span(monkeypatch):
+    # spans exist only for diagnostics
+    def no_span(*args):
+        raise AssertionError("a successful parse built a SourceSpan")
+
+    monkeypatch.setattr(qasm, "SourceSpan", no_span)
+    for path in sorted(CORPUS.glob("*.qasm")):
+        parse_file(str(path))
+
+
+def _mutated_corpus_sources(seed: int, count: int):
+    """Corpus files with a few characters inserted, deleted or replaced."""
+    rng = np.random.default_rng(seed)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.qasm"))]
+    alphabet = ' \t\r\n/"@$.eE-+>;,[](){}0123456789xq\u00a0\u00e9'
+    for _ in range(count):
+        chars = list(sources[rng.integers(len(sources))])
+        for _ in range(rng.integers(1, 6)):
+            i = int(rng.integers(len(chars)))
+            new = alphabet[rng.integers(len(alphabet))]
+            op = rng.integers(3)
+            if op == 0:
+                chars.insert(i, new)
+            elif op == 1:
+                del chars[i]
+            else:
+                chars[i] = new
+        yield "".join(chars)
+
+
+def _lex_outcome(tokenize, source: str):
+    try:
+        return tokenize(source)
+    except QasmError as exc:
+        return str(exc), exc.span
+
+
+def test_lexer_matches_oracle():
+    # the one-pass lexer's offsets give the oracle's lines and columns
+    def oracle(source):
+        return [(t.type, t.text, t.line, t.col)
+                for t in lexer_oracle.tokenize(source, "m.qasm")]
+
+    def one_pass(source):
+        return [(kind, text, source.count("\n", 0, pos) + 1,
+                 pos - source.rfind("\n", 0, pos))
+                for kind, text, pos in qasm._tokenize(source, "m.qasm")]
+
+    failures = 0
+    for source in _mutated_corpus_sources(seed=11, count=600):
+        want = _lex_outcome(oracle, source)
+        assert _lex_outcome(one_pass, source) == want, source
+        failures += isinstance(want, tuple)
+    assert 0 < failures < 600

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracle
-from corpus_util import SWAP_TEST_QASM, build
-from qcover.ir import CONTROLLED_KINDS, SPECS, GateKind, circuits_equal
+from corpus_util import SWAP_TEST_QASM, build, circuits_equal
+from qcover.ir import CONTROLLED_KINDS, SPECS, GateKind
 from qcover.qasm import parse
 from qcover.transpiler import (
     CSWAP_LAMBDA,
