@@ -169,9 +169,15 @@ def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
                             circuit_name=name)
 
 
-def _cover_one(path: Path, args) -> coverage.CoverageReport:
-    """Worker for the cover pipeline."""
-    return _analyze_circuit(_load(path), path.name, args, _Deadline(args.time_limit))
+def _cover_one(path: Path, args):
+    """Worker for the cover pipeline; returns (report, histogram counts)."""
+    circuit = _load(path)
+    report = _analyze_circuit(circuit, path.name, args, _Deadline(args.time_limit))
+    counts = {}
+    if args.shots > 0 and not args.quiet:
+        counts = simulator.sample_counts(circuit, args.shots, seed=args.seed,
+                                         qubit_limit=args.qubit_limit)
+    return report, counts
 
 
 def _attempt(call) -> tuple[object, Exception | None]:
@@ -181,7 +187,7 @@ def _attempt(call) -> tuple[object, Exception | None]:
         return None, exc
 
 
-def _run_batch(args, worker, show) -> int:
+def _run_batch(paths: list[Path], args, worker, show) -> int:
     """Run worker(path, args) over the input paths and show each result.
 
     With --jobs above 1 the inputs run in a process pool; either way the
@@ -189,7 +195,6 @@ def _run_batch(args, worker, show) -> int:
     input prints one error line and makes the exit code 1; one past the
     time limit prints a skip line and does not.
     """
-    paths = _expand_paths(args.paths)
     if not paths:
         print("qcover: no input files", file=sys.stderr)
         return 1
@@ -250,21 +255,29 @@ def _unwritable(exc: OSError) -> int:
 
 
 def cmd_cover(args) -> int:
+    paths = _expand_paths(args.paths)
+    if args.json:
+        # each report is written to DIR/<file stem>.json
+        seen: dict[str, Path] = {}
+        for path in paths:
+            if path.stem in seen:
+                print(f"qcover: --json: {seen[path.stem]} and {path} would both "
+                      f"write {path.stem}.json", file=sys.stderr)
+                return 2
+            seen[path.stem] = path
     reports = []
 
-    def show(path: Path, report: coverage.CoverageReport) -> None:
+    def show(path: Path, outcome) -> None:
+        report, counts = outcome
         reports.append(report)
         if args.quiet:
             return
         _print_report(report)
-        if args.shots > 0:
-            counts = simulator.sample_counts(_load(path), args.shots, seed=args.seed,
-                                             qubit_limit=args.qubit_limit)
-            if counts:
-                print(f"  histogram ({args.shots} shots): " +
-                      " ".join(f"{k}:{v}" for k, v in counts.items()))
+        if counts:
+            print(f"  histogram ({args.shots} shots): " +
+                  " ".join(f"{k}:{v}" for k, v in counts.items()))
 
-    code = _run_batch(args, _cover_one, show)
+    code = _run_batch(paths, args, _cover_one, show)
     if reports and args.summary and not args.quiet:
         _print_summary(reports)
     if args.json:
@@ -326,8 +339,9 @@ def cmd_mutate(args) -> int:
         for line in mutant_lines:
             print(f"  {line}")
 
-    code = _run_batch(args, _mutate_one, show)
-    if args.csv and rows:
+    code = _run_batch(_expand_paths(args.paths), args, _mutate_one, show)
+    if args.csv:
+        # header-only when no input succeeded, so no older table survives
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(mutation.csv_header() + "\n")

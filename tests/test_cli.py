@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qcover import mutation
 from qcover.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,3 +263,25 @@ def test_csv_path_that_is_a_dir_fails_cleanly(tmp_path, capsys):
     assert main(["mutate", SWAP, "--operators", "qgd", "--quiet",
                  "--csv", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"qcover: {tmp_path}: Is a directory\n"
+
+
+def test_mutate_csv_is_rewritten_when_no_input_succeeds(tmp_path, capsys):
+    csv_path = tmp_path / "campaign.csv"
+    csv_path.write_text("old,stale\n")
+    assert main(["mutate", str(tmp_path / "missing.qasm"), "--csv", str(csv_path)]) == 1
+    header = csv_path.read_text().splitlines()
+    assert header == [mutation.csv_header()]
+
+
+def test_cover_json_rejects_inputs_sharing_a_stem(tmp_path, capsys):
+    a, b = tmp_path / "a" / "x.qasm", tmp_path / "b" / "x.qasm"
+    for path, source in ((a, "swap_test.qasm"), (b, "bell_pair.qasm")):
+        path.parent.mkdir()
+        path.write_text((CORPUS / source).read_text())
+    out_dir = tmp_path / "out"
+    assert main(["cover", str(a), str(b), "--json", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qcover: --json: {a} and {b} would both write x.json\n"
+    assert not out_dir.exists()
+    assert main(["cover", str(a), str(b), "--quiet"]) == 0
