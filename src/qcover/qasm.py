@@ -15,6 +15,11 @@ grammar, restricted to the gate vocabulary in ir.GateKind:
     exp       := additive expression over reals, ints, "pi", parameters,
                  + - * / ^, unary -, and sin/cos/tan/exp/ln/sqrt
 
+The lexer makes one pass over the text.  A token is (type, text, pos), pos
+being its offset in the source; a diagnostic's line and column are computed
+from that offset when the QasmError is built, so a parse that succeeds
+builds no SourceSpan.
+
 User-defined `gate` bodies are inlined at call time with parameters folded to
 64-bit floats.  A body may call only builtins and gates declared before it,
 so no gate can call itself.  Registers map to flat qubit/clbit index spaces
