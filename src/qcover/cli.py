@@ -67,7 +67,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, metavar="SECONDS",
                         default=argparse.SUPPRESS,
                         help="abort a single circuit past this budget without "
-                             "failing the batch (checked between stages)")
+                             "failing the batch (checked between stages and shots)")
 
 
 def _operator_list(raw: str) -> tuple[str, ...]:
@@ -127,7 +127,7 @@ class _TimeLimit(Exception):
 
 
 class _Deadline:
-    """Cooperative per-circuit budget, checked between pipeline stages."""
+    """Cooperative per-circuit budget, checked between pipeline stages and shots."""
 
     def __init__(self, seconds: float | None):
         self.seconds = seconds
@@ -172,11 +172,13 @@ def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
 def _cover_one(path: Path, args):
     """Worker for the cover pipeline; returns (report, histogram counts)."""
     circuit = _load(path)
-    report = _analyze_circuit(circuit, path.name, args, _Deadline(args.time_limit))
+    deadline = _Deadline(args.time_limit)
+    report = _analyze_circuit(circuit, path.name, args, deadline)
     counts = {}
     if args.shots > 0 and not args.quiet:
         counts = simulator.sample_counts(circuit, args.shots, seed=args.seed,
-                                         qubit_limit=args.qubit_limit)
+                                         qubit_limit=args.qubit_limit,
+                                         check=deadline.check)
     return report, counts
 
 

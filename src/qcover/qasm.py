@@ -274,6 +274,8 @@ class _Parser:
             if op_tok.text == "barrier":
                 # barriers inside gate bodies are dropped (no circuit effect)
                 while not self.accept("SYM", ";"):
+                    if self.peek().type == "EOF":
+                        self.expect("SYM", ";")  # raises: the input ended
                     self.advance()
                 continue
             # OpenQASM 2.0 bodies call only builtins and earlier gates, which

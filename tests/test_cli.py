@@ -1,14 +1,16 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from qcover import mutation
+from qcover import cli, mutation, simulator
 from qcover.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -242,6 +244,28 @@ def test_cover_shots_corpus_output_is_frozen(jobs, capsys):
     captured = capsys.readouterr()
     text = "\v".join((str(code), captured.out, captured.err))
     assert hashlib.sha256(text.encode()).hexdigest() == SHOTS_DIGEST
+
+
+def test_time_limit_stops_shot_sampling(monkeypatch, capsys):
+    # a clock that ticks one second per reading: the deadline's start and its
+    # four stage checks take readings 0-4, so with a 6.5 s budget the checks
+    # before shots 0 and 1 pass and the one before shot 2 expires
+    ticks = itertools.count()
+    monkeypatch.setattr(cli, "time",
+                        types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+    runs = []
+    real_run = simulator.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run", counting_run)
+    assert main(["cover", SWAP, "--shots", "64", "--time-limit", "6.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 6.5s exceeded)\n"
+    assert len(runs) == 3  # the probed run, then shots 0 and 1
 
 
 def test_timing_flag_is_gone(capsys):

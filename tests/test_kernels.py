@@ -1,0 +1,124 @@
+"""Simulator kernels and the probe loop against their earlier versions in
+kernel_oracle: the same amplitudes, probe logs and measurements."""
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kernel_oracle
+from corpus_util import SWAP_TEST_QASM, random_circuit
+from qcover import simulator
+from qcover.ir import SPECS, Circuit, GateInstruction, GateKind, Probe
+from qcover.probes import instrument
+from qcover.qasm import parse, parse_file
+from qcover.transpiler import transpile
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+WIDTH = 8
+KINDS = [k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)]
+
+
+def _random_state(rng: np.random.Generator) -> np.ndarray:
+    state = rng.normal(size=1 << WIDTH) + 1j * rng.normal(size=1 << WIDTH)
+    state[rng.random(state.size) < 0.15] = 0.0
+    state.real[rng.random(state.size) < 0.1] = 0.0
+    state.imag[rng.random(state.size) < 0.1] = -0.0
+    return state / np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_kernel_matches_oracle_on_every_operand_tuple(kind):
+    # values, not bytes: the sign of an exact zero may differ
+    rng = np.random.default_rng(list(GateKind).index(kind))
+    state = _random_state(rng)
+    spec = SPECS[kind]
+    params = tuple(float(v) for v in rng.uniform(-np.pi, np.pi, spec.num_params))
+    for qubits in itertools.permutations(range(WIDTH), spec.num_qubits):
+        got, want = state.copy(), state.copy()
+        simulator.apply_gate(got, kind, params, qubits)
+        kernel_oracle.apply_gate(want, kind, params, qubits)
+        assert np.array_equal(got, want), (kind, qubits)
+
+
+def test_marginal_matches_oracle_bitwise():
+    state = _random_state(np.random.default_rng(3))
+    for qubit in range(WIDTH):
+        assert simulator.marginal(state, qubit) == kernel_oracle.marginal(state, qubit)
+
+
+def _circuits():
+    for path in sorted(CORPUS.glob("*.qasm")):
+        yield path.stem, parse_file(str(path))
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        yield f"random{i}", random_circuit(rng, with_measure=bool(i % 2))
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+def test_run_matches_oracle_on_corpus_and_random_circuits(probed):
+    for name, circuit in _circuits():
+        if probed:
+            circuit = instrument(transpile(circuit))
+        got = simulator.run(circuit, seed=5)
+        want = kernel_oracle.run(circuit, seed=5)
+        assert got.probes == want.probes, name
+        assert got.measurements == want.measurements, name
+        assert np.array_equal(got.state, want.state), name
+
+
+def _distinct_reads(circuit: Circuit) -> int:
+    """Distinct qubits per run of adjacent probes, summed over the runs."""
+    reads, group = 0, set()
+    for instr in circuit.instructions:
+        if isinstance(instr, Probe):
+            group.add(instr.qubit)
+        else:
+            reads, group = reads + len(group), set()
+    return reads + len(group)
+
+
+@pytest.fixture
+def marginal_calls(monkeypatch):
+    """Qubits of the simulator's marginal reads, in order."""
+    calls = []
+    real = simulator.marginal
+
+    def counting(state, qubit):
+        calls.append(qubit)
+        return real(state, qubit)
+
+    monkeypatch.setattr(simulator, "marginal", counting)
+    return calls
+
+
+def test_adjacent_probes_share_one_marginal_per_qubit(marginal_calls):
+    probed = instrument(transpile(parse(SWAP_TEST_QASM)))
+    labels = sum(isinstance(i, Probe) for i in probed.instructions)
+    result = simulator.run(probed)
+    # the final measurement of q[0] reads one more marginal
+    assert len(marginal_calls) == _distinct_reads(probed) + 1
+    assert _distinct_reads(probed) < labels
+    assert result.probes == kernel_oracle.run(probed).probes
+
+
+def test_read_reuse_stops_at_any_gate(marginal_calls):
+    # an x on another qubit between the probes still forces a fresh read
+    circuit = Circuit(2, 0, (
+        Probe(0, "expectation", 0, "a"),
+        GateInstruction(1, GateKind.X, (1,)),
+        Probe(2, "expectation", 0, "b"),
+        Probe(3, "probabilities", 0, "c"),
+        Probe(4, "probabilities", 1, "d"),
+    ))
+    simulator.run(circuit)
+    assert marginal_calls == [0, 0, 1]
+
+
+def test_duplicate_label_still_raises():
+    circuit = Circuit(1, 0, (
+        Probe(0, "expectation", 0, "v"),
+        Probe(1, "probabilities", 0, "v"),
+    ))
+    with pytest.raises(simulator.SimulationError, match="duplicate probe label 'v'"):
+        simulator.run(circuit)

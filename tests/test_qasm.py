@@ -1,5 +1,8 @@
 """OpenQASM 2.0 frontend: parsing, serialization, diagnostics, fuzz totality."""
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,22 @@ def test_syntax_error_has_span():
         assert exc.span.line >= 3
     else:
         pytest.fail("expected QasmError")
+
+
+def test_unterminated_gate_body_barrier_is_a_diagnostic():
+    # the skip loop over a body barrier once spun forever at the end of the
+    # input; parse in a child process so a regression fails, not hangs
+    code = ("from qcover.qasm import QasmError, parse\n"
+            "try:\n"
+            "    parse('OPENQASM 2.0;\\nqreg q[1];\\ngate g a { barrier a', 'g.qasm')\n"
+            "except QasmError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(qasm.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60, check=True, env=env)
+    assert result.stdout == "g.qasm:3:21: expected ';', found ''\n"
 
 
 def test_out_of_range_index():
