@@ -192,10 +192,11 @@ class Circuit:
         return any(isinstance(i, Probe) for i in self.instructions)
 
 
-def renumber(instructions: list[Instruction] | tuple[Instruction, ...]) -> tuple[Instruction, ...]:
-    """Reassign instruction ids densely in list order."""
+def renumber(instructions: list[Instruction] | tuple[Instruction, ...],
+             start: int = 0) -> tuple[Instruction, ...]:
+    """Reassign instruction ids densely in list order, from `start`."""
     out: list[Instruction] = []
-    for new_id, instr in enumerate(instructions):
+    for new_id, instr in enumerate(instructions, start):
         if isinstance(instr, GateInstruction):
             out.append(GateInstruction(new_id, instr.kind, instr.qubits,
                                        instr.params, instr.clbits))

@@ -21,17 +21,21 @@ as a timeout instead.  Runtime is charged in deterministic cost units,
 executed gates * 2^n, so campaign CSV output is byte-stable across runs.
 
 judge() shares one forward run of the original across calls.  The first
-call for an original simulates it once and keeps its final state plus a
-cursor: the original's state before some gate position.  Each later call
-moves the cursor to the end of the prefix of executed gates that the mutant
-shares with the original (starting again from |0...0> when the cursor is
-already past it), copies it, and applies only the mutant's remaining gates.
-Every amplitude goes through the same apply_gate calls in the same order as
-in two full runs, so states, fidelities and verdicts are bit-identical to
-full re-simulation.  A mutant that times out by cost is not simulated at
-all.  The price is memory: while the original circuit is alive, two extra
-states of 2^n amplitudes each stay held (one original at a time; judging
-another original frees them).
+call for an original simulates it once and keeps its final state, one
+prebuilt kernel step per gate it applies (simulator.kernel), and a cursor:
+the original's state after some number of those steps.  Each later call
+finds the prefix and the suffix of applied gates that the mutant shares with
+the original (the suffix never overlaps the prefix), moves the cursor to the
+end of the prefix (starting again from |0...0> when the cursor is already
+past it), copies it, applies kernels for only the mutant's own gates between
+the two, and then replays the original's prebuilt steps for the suffix.  A
+generated mutant edits one gate, so it applies at most one kernel of its own.
+Every amplitude goes through the same kernels in the same order as in two
+full runs, so states, fidelities and verdicts are bit-identical to full
+re-simulation.  A mutant that times out by cost is not simulated at all.
+The price is memory: while the original circuit is alive, two extra states
+of 2^n amplitudes each stay held (one original at a time; judging another
+original frees them).
 
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
@@ -46,8 +50,8 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .ir import Circuit, GateInstruction, GateKind, renumber
-from .simulator import (DEFAULT_QUBIT_LIMIT, apply_gate, check_statevector_input,
-                        fidelity, statevector_of, zero_state)
+from .simulator import (DEFAULT_QUBIT_LIMIT, check_statevector_input, fidelity,
+                        kernel, statevector_of, zero_state)
 
 OPERATORS = ("qgr", "qgd", "qgi")
 DEFAULT_TOLERANCE = 1e-8
@@ -93,9 +97,21 @@ def _mutable_sites(circuit: Circuit) -> list[GateInstruction]:
             if i.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
 
 
-def _rebuild(circuit: Circuit, instructions: list) -> Circuit:
-    return Circuit(circuit.num_qubits, circuit.num_clbits,
-                   renumber(instructions))
+def _splice(instructions: tuple, pos: int, drop: int, insert: tuple,
+            ids_are_positions: bool) -> tuple:
+    """renumber(instructions with `drop` of them at pos replaced by insert).
+
+    When every id equals its position, and each inserted id its new
+    position, the instructions whose id does not move are reused and only
+    the shifted tail is rebuilt.
+    """
+    spliced = instructions[:pos] + insert + instructions[pos + drop:]
+    if not ids_are_positions:
+        return renumber(spliced)
+    if len(insert) == drop:
+        return spliced
+    end = pos + len(insert)
+    return spliced[:end] + renumber(spliced[end:], start=end)
 
 
 def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
@@ -105,7 +121,7 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
     Enumeration is deterministic: operators in canonical order, sites in
     program order, replacement kinds in class order.  The seed only matters
     when a budget forces subsampling; a negative budget raises
-    MutationError.
+    MutationError.  Mutant instruction ids are dense in program order.
     """
     if budget is not None and budget < 0:
         raise MutationError(f"budget must not be negative, got {budget}")
@@ -115,14 +131,17 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
         if op not in OPERATORS:
             raise MutationError(f"unknown mutation operator {op!r}")
 
-    instructions = list(circuit.instructions)
+    instructions = tuple(circuit.instructions)
+    ids_are_positions = all(instr.id == pos for pos, instr in enumerate(instructions))
     position_of = {instr.id: pos for pos, instr in enumerate(instructions)}
     sites = _mutable_sites(circuit)
     mutants: list[Mutant] = []
 
-    def add(operator: str, site: int, detail: str, new_instructions: list) -> None:
+    def add(operator: str, site: int, detail: str, pos: int, drop: int,
+            insert: tuple) -> None:
+        body = _splice(instructions, pos, drop, insert, ids_are_positions)
         mutants.append(Mutant(len(mutants), operator, site, detail,
-                              _rebuild(circuit, new_instructions)))
+                              Circuit(circuit.num_qubits, circuit.num_clbits, body)))
 
     for operator in OPERATORS:
         if operator not in operators:
@@ -136,24 +155,23 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
                 for kind in cls:
                     if kind is site.kind:
                         continue
-                    replaced = GateInstruction(site.id, kind, site.qubits, site.params)
-                    body = instructions[:pos] + [replaced] + instructions[pos + 1:]
-                    add("qgr", site.id, f"{site.kind.value}->{kind.value}", body)
+                    replaced = GateInstruction(pos, kind, site.qubits, site.params)
+                    add("qgr", site.id, f"{site.kind.value}->{kind.value}",
+                        pos, 1, (replaced,))
         elif operator == "qgd":
             for site in sites:
-                pos = position_of[site.id]
-                body = instructions[:pos] + instructions[pos + 1:]
-                add("qgd", site.id, f"delete {site.kind.value}", body)
+                add("qgd", site.id, f"delete {site.kind.value}",
+                    position_of[site.id], 1, ())
         else:  # qgi
             for site in sites:
                 cls = _CLASS_OF.get(site.kind)
                 if cls is None:
                     continue
-                pos = position_of[site.id]
+                pos = position_of[site.id] + 1
                 for kind in cls:
-                    inserted = GateInstruction(0, kind, site.qubits, site.params)
-                    body = instructions[:pos + 1] + [inserted] + instructions[pos + 1:]
-                    add("qgi", site.id, f"insert {kind.value} after {site.kind.value}", body)
+                    inserted = GateInstruction(pos, kind, site.qubits, site.params)
+                    add("qgi", site.id, f"insert {kind.value} after {site.kind.value}",
+                        pos, 0, (inserted,))
 
     if budget is not None and budget < len(mutants):
         rng = np.random.default_rng(seed)
@@ -173,20 +191,21 @@ def _cost_units(circuit: Circuit) -> float:
     return float(gate_count * (1 << circuit.num_qubits))
 
 
-def _executed(circuit: Circuit) -> list[GateInstruction]:
-    """The gates statevector_of applies, in order."""
-    return [i for i in circuit.instructions if i.kind is not GateKind.MEASURE]
+# kinds that statevector_of applies no kernel for
+_NO_STEP = (GateKind.MEASURE, GateKind.BARRIER, GateKind.ID)
 
 
-def _op_key(instr: GateInstruction) -> tuple:
-    return instr.kind, instr.qubits, instr.params
+def _op_keys(circuit: Circuit) -> list[tuple]:
+    """kernel() arguments of each gate statevector_of applies, in order."""
+    return [(i.kind, i.params, i.qubits) for i in circuit.instructions
+            if i.kind not in _NO_STEP]
 
 
 class _SharedPrefix:
     """One forward run of an original circuit, reused by judge().
 
-    final is the original's statevector; cursor is its state after the
-    first `position` executed gates.
+    final is the original's statevector and steps its gates' kernels, built
+    once; cursor is its state after the first `position` steps.
     """
 
     def __init__(self, original: Circuit, qubit_limit: int):
@@ -194,22 +213,26 @@ class _SharedPrefix:
         self.qubit_limit = qubit_limit
         self.num_qubits = original.num_qubits
         self.cost = _cost_units(original)
-        self.ops = _executed(original)
-        self.keys = [_op_key(i) for i in self.ops]
         self.final = statevector_of(original, qubit_limit=qubit_limit)
+        self.keys = _op_keys(original)
+        self.steps = [kernel(*key, self.num_qubits) for key in self.keys]
         self.cursor = zero_state(self.num_qubits)
         self.position = 0
         self.lock = threading.Lock()
 
     def statevector_of(self, circuit: Circuit) -> np.ndarray:
-        """statevector_of(circuit), bit for bit, from the shared prefix."""
-        ops = _executed(circuit)
-        k = 0
+        """statevector_of(circuit), bit for bit, from the shared run."""
+        keys = _op_keys(circuit)
+        k = s = 0
         if circuit.num_qubits == self.num_qubits:
-            for key, instr in zip(self.keys, ops):
-                if _op_key(instr) != key:
+            for mine, theirs in zip(self.keys, keys):
+                if mine != theirs:
                     break
                 k += 1
+            # the shared suffix starts after the shared prefix in both circuits
+            limit = min(len(keys), len(self.keys)) - k
+            while s < limit and keys[-1 - s] == self.keys[-1 - s]:
+                s += 1
         if k == 0:
             state = zero_state(circuit.num_qubits)
         else:
@@ -220,12 +243,14 @@ class _SharedPrefix:
                 # -1 marks the cursor unusable until the sweep completes, so
                 # an interrupted sweep forces a restart instead of a bad state
                 start, self.position = self.position, -1
-                for instr in self.ops[start:k]:
-                    apply_gate(self.cursor, instr.kind, instr.params, instr.qubits)
+                for step in self.steps[start:k]:
+                    step(self.cursor)
                 self.position = k
                 state = self.cursor.copy()
-        for instr in ops[k:]:
-            apply_gate(state, instr.kind, instr.params, instr.qubits)
+        for key in keys[k:len(keys) - s]:
+            kernel(*key, circuit.num_qubits)(state)
+        for step in self.steps[len(self.steps) - s:]:
+            step(state)
         return state
 
 
@@ -267,9 +292,10 @@ def judge(original: Circuit, mutant: Mutant,
     Simulation failures, and a mutant whose qubit count differs from the
     original's, yield an 'error' verdict rather than raising, so a campaign
     can keep going.  The original's run is shared with the previous call
-    when `original` is the same object and `qubit_limit` is unchanged, and
-    only the mutant's gates after its common prefix with the original are
-    applied; this holds two extra states of the original's size for as long
+    when `original` is the same object and `qubit_limit` is unchanged: only
+    the mutant's gates between its common prefix and its common suffix with
+    the original are applied, and the suffix replays the original's prebuilt
+    kernels.  This holds two extra states of the original's size for as long
     as the original circuit lives.  Runtimes are cost units; `timing`
     accepts only "cost".  Raises MutationError for a tolerance outside
     [0, 1) or a timeout_factor that is not positive.

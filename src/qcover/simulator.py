@@ -2,7 +2,12 @@
 Dense statevector simulator with non-collapsing probes.
 
 State layout is little-endian: amplitude index bit q holds the basis value of
-qubit q.  Gates are applied in place through stride-based views:
+qubit q.  kernel() binds one gate to its operands and a state width: it
+works out the matrix or scalar factors, the view shapes, the sector indices
+and the axis orders once and returns a step that applies the gate in place.
+apply_gate(), run() and statevector_of() build their steps there, and the
+mutation judge keeps an original's steps to replay them for every mutant.
+Steps apply gates through stride-based views:
 
 - cx and swap exchange two sectors of a (high, low) qubit pair, and x
   exchanges the two halves of its qubit, moving data without arithmetic;
@@ -20,7 +25,8 @@ may differ), so no output depends on which path a gate took.
 
 A run is single-shot: probe values come from the simulated state itself, so
 repeated sampling adds nothing to coverage.  sample_counts() exists for
-measurement histograms only.
+measurement histograms only; its shots share the state before the first
+measurement.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .ir import Circuit, GateKind, Probe
+from .ir import Circuit, GateInstruction, GateKind, Instruction, Probe
 
 DEFAULT_QUBIT_LIMIT = 26
 
@@ -71,90 +77,142 @@ def marginal(state: np.ndarray, qubit: int) -> tuple[float, float]:
 _DIAGONAL = frozenset((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
                        GateKind.TDG, GateKind.RZ))
 
+Step = Callable[[np.ndarray], None]
+
+# index tuples into a (high, 2, low) view: the half where the qubit reads 0 or 1
+_HALF = ((slice(None), 0, slice(None)), (slice(None), 1, slice(None)))
+
+
+def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
+           num_qubits: int) -> Step | None:
+    """One gate bound to its operands: a step that applies it in place to
+    any state of num_qubits qubits, or None for barrier and id (no-ops).
+
+    The matrix or scalar factors, view shapes, sector indices and axis
+    orders are worked out here, once, so replaying a step costs only its
+    numpy calls.  Raises SimulationError for a measurement.
+    """
+    if kind in (GateKind.BARRIER, GateKind.ID):
+        return None
+    if kind is GateKind.MEASURE:
+        raise SimulationError("apply_gate cannot process measurements")
+    if kind is GateKind.CX:
+        return _swap_sectors(qubits[0], qubits[1], (1, 0), (1, 1))
+    if kind is GateKind.SWAP:
+        return _swap_sectors(qubits[0], qubits[1], (1, 0), (0, 1))
+    if kind is GateKind.X:
+        return _flip(qubits[0])
+    if kind is GateKind.P:
+        return _phase(qubits[0], np.exp(1j * params[0]))
+    mat = gates.matrix(kind, params)
+    if kind in _DIAGONAL:
+        return _diagonal(mat, qubits[0])
+    if len(qubits) == 1:
+        return _dense_1q(mat, qubits[0])
+    return _dense_kq(mat, qubits, num_qubits)
+
 
 def apply_gate(state: np.ndarray, kind: GateKind,
                params: tuple[float, ...], qubits: tuple[int, ...]) -> None:
     """Apply one gate in place.  Barriers and id are no-ops."""
-    if kind in (GateKind.BARRIER, GateKind.ID):
-        return
-    if kind is GateKind.MEASURE:
-        raise SimulationError("apply_gate cannot process measurements")
-
-    if kind is GateKind.CX:
-        _swap_sectors(state, qubits[0], qubits[1], (1, 0), (1, 1))
-        return
-    if kind is GateKind.SWAP:
-        _swap_sectors(state, qubits[0], qubits[1], (1, 0), (0, 1))
-        return
-    if kind is GateKind.X:
-        view = state.reshape(-1, 2, 1 << qubits[0])
-        lo = view[:, 0, :].copy()
-        view[:, 0, :] = view[:, 1, :]
-        view[:, 1, :] = lo
-        return
-    if kind is GateKind.P:
-        view = state.reshape(-1, 2, 1 << qubits[0])
-        view[:, 1, :] *= np.exp(1j * params[0])
-        return
-    mat = gates.matrix(kind, params)
-    if kind in _DIAGONAL:
-        _apply_diagonal(state, mat, qubits[0])
-    elif len(qubits) == 1:
-        _apply_1q(state, mat, qubits[0])
-    else:
-        _apply_kq(state, mat, qubits)
+    step = kernel(kind, params, qubits, state.size.bit_length() - 1)
+    if step is not None:
+        step(state)
 
 
-def _apply_diagonal(state: np.ndarray, mat: np.ndarray, qubit: int) -> None:
+def _flip(qubit: int) -> Step:
+    shape = (-1, 2, 1 << qubit)
+    lo_half, hi_half = _HALF
+
+    def step(state: np.ndarray) -> None:
+        view = state.reshape(shape)
+        lo = view[lo_half].copy()
+        view[lo_half] = view[hi_half]
+        view[hi_half] = lo
+    return step
+
+
+def _phase(qubit: int, factor: complex) -> Step:
+    shape = (-1, 2, 1 << qubit)
+    hi_half = _HALF[1]
+
+    def step(state: np.ndarray) -> None:
+        half = state.reshape(shape)[hi_half]
+        half *= factor
+    return step
+
+
+def _diagonal(mat: np.ndarray, qubit: int) -> Step:
     # mat[b, b] * half with the scalar first, as the dense kernel multiplies;
     # `half *= mat[b, b]` can round differently in numpy's SIMD loops
-    view = state.reshape(-1, 2, 1 << qubit)
-    for b in (0, 1):
-        if mat[b, b] != 1:
-            half = view[:, b, :]
-            np.multiply(mat[b, b], half, out=half)
+    shape = (-1, 2, 1 << qubit)
+    scaled = [(_HALF[b], mat[b, b]) for b in (0, 1) if mat[b, b] != 1]
+
+    def step(state: np.ndarray) -> None:
+        view = state.reshape(shape)
+        for index, factor in scaled:
+            half = view[index]
+            np.multiply(factor, half, out=half)
+    return step
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, qubit: int) -> None:
-    view = state.reshape(-1, 2, 1 << qubit)
-    lo = view[:, 0, :]
-    hi = view[:, 1, :]
-    # mat[i, j] * half in that operand order, into two half-size buffers
-    new_lo = np.multiply(mat[0, 0], lo)
-    buf = np.multiply(mat[0, 1], hi)
-    np.add(new_lo, buf, out=new_lo)
-    np.multiply(mat[1, 0], lo, out=buf)
-    np.multiply(mat[1, 1], hi, out=hi)
-    np.add(buf, hi, out=hi)
-    lo[...] = new_lo
+def _dense_1q(mat: np.ndarray, qubit: int) -> Step:
+    shape = (-1, 2, 1 << qubit)
+    lo_half, hi_half = _HALF
+    m00, m01, m10, m11 = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
+
+    def step(state: np.ndarray) -> None:
+        view = state.reshape(shape)
+        lo = view[lo_half]
+        hi = view[hi_half]
+        # mat[i, j] * half in that operand order, into two half-size buffers
+        new_lo = np.multiply(m00, lo)
+        buf = np.multiply(m01, hi)
+        np.add(new_lo, buf, out=new_lo)
+        np.multiply(m10, lo, out=buf)
+        np.multiply(m11, hi, out=hi)
+        np.add(buf, hi, out=hi)
+        lo[...] = new_lo
+    return step
 
 
-def _swap_sectors(state: np.ndarray, qa: int, qb: int,
-                  first: tuple[int, int], second: tuple[int, int]) -> None:
+def _swap_sectors(qa: int, qb: int, first: tuple[int, int],
+                  second: tuple[int, int]) -> Step:
     """Exchange the amplitudes where (qa, qb) read `first` with those reading `second`."""
     if qa < qb:
         qa, qb = qb, qa
         first, second = first[::-1], second[::-1]
-    view = state.reshape(-1, 2, 1 << (qa - qb - 1), 2, 1 << qb)
-    a = view[:, first[0], :, first[1], :]
-    b = view[:, second[0], :, second[1], :]
-    tmp = a.copy()
-    a[...] = b
-    b[...] = tmp
+    shape = (-1, 2, 1 << (qa - qb - 1), 2, 1 << qb)
+    every = slice(None)
+    index_a = (every, first[0], every, first[1], every)
+    index_b = (every, second[0], every, second[1], every)
+
+    def step(state: np.ndarray) -> None:
+        view = state.reshape(shape)
+        a = view[index_a]
+        b = view[index_b]
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+    return step
 
 
-def _apply_kq(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> None:
-    n = state.size.bit_length() - 1
+def _dense_kq(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> Step:
     k = len(qubits)
-    psi = state.reshape((2,) * n)
-    # operand i lives on tensor axis n-1-qubits[i]; flatten the operand axes
-    # most-significant-first so the flattened index is little-endian in i
+    tensor = (2,) * n
+    flat = (1 << k, -1)
+    # operand i lives on tensor axis n-1-qubits[i]; bring the operand axes to
+    # the front most-significant-first, so the flattened index is
+    # little-endian in i, and put them back with the inverse order
     front = [n - 1 - qubits[i] for i in reversed(range(k))]
-    moved = np.moveaxis(psi, front, range(k))
-    tail_shape = moved.shape[k:]
-    flat = moved.reshape(1 << k, -1)
-    result = (mat @ flat).reshape((2,) * k + tail_shape)
-    np.copyto(psi, np.moveaxis(result, range(k), front))
+    order = front + [axis for axis in range(n) if axis not in front]
+    inverse = [order.index(axis) for axis in range(n)]
+
+    def step(state: np.ndarray) -> None:
+        psi = state.reshape(tensor)
+        result = mat @ psi.transpose(order).reshape(flat)
+        np.copyto(psi, result.reshape(tensor).transpose(inverse))
+    return step
 
 
 def _measure(state: np.ndarray, qubit: int, rng: np.random.Generator) -> int:
@@ -178,24 +236,23 @@ def _check_initial(initial: np.ndarray, num_qubits: int) -> np.ndarray:
     return state
 
 
-def run(circuit: Circuit, initial: np.ndarray | None = None, *,
-        seed: int = 0, qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> RunResult:
-    """Execute a circuit in one pass, recording probe values and measurements.
+def _check_width(num_qubits: int, qubit_limit: int) -> None:
+    if num_qubits > qubit_limit:
+        raise SimulationError(f"{num_qubits} qubits exceeds the limit of {qubit_limit}")
 
-    Probes never modify the state; stripping them from the circuit yields a
-    bitwise-identical final statevector.
-    """
-    n = circuit.num_qubits
-    if n > qubit_limit:
-        raise SimulationError(f"{n} qubits exceeds the limit of {qubit_limit}")
-    state = zero_state(n) if initial is None else _check_initial(initial, n)
-    rng = np.random.default_rng(seed)
-    log: ProbeLog = {}
-    measurements: dict[int, int] = {}
+
+def _check_norm(state: np.ndarray) -> None:
+    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+        raise SimulationError("statevector norm drifted beyond 1e-10")
+
+
+def _execute(instructions: tuple[Instruction, ...], state: np.ndarray,
+             rng: np.random.Generator | None, log: ProbeLog,
+             measurements: dict[int, int]) -> None:
+    """Run instructions on state in place, adding to log and measurements."""
     # marginals read since the last non-probe instruction, by qubit
     reads: dict[int, tuple[float, float]] = {}
-
-    for instr in circuit.instructions:
+    for instr in instructions:
         if isinstance(instr, Probe):
             if instr.label in log:
                 raise SimulationError(f"duplicate probe label {instr.label!r}")
@@ -210,8 +267,22 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
             continue
         apply_gate(state, instr.kind, instr.params, instr.qubits)
 
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-        raise SimulationError("statevector norm drifted beyond 1e-10")
+
+def run(circuit: Circuit, initial: np.ndarray | None = None, *,
+        seed: int = 0, qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> RunResult:
+    """Execute a circuit in one pass, recording probe values and measurements.
+
+    Probes never modify the state; stripping them from the circuit yields a
+    bitwise-identical final statevector.
+    """
+    n = circuit.num_qubits
+    _check_width(n, qubit_limit)
+    state = zero_state(n) if initial is None else _check_initial(initial, n)
+    log: ProbeLog = {}
+    measurements: dict[int, int] = {}
+    _execute(circuit.instructions, state, np.random.default_rng(seed), log,
+             measurements)
+    _check_norm(state)
     return RunResult(state, log, measurements)
 
 
@@ -219,9 +290,7 @@ def check_statevector_input(circuit: Circuit, qubit_limit: int) -> None:
     """Raise SimulationError unless statevector_of accepts the circuit."""
     if circuit.has_probes():
         raise SimulationError("statevector_of expects a probe-free circuit")
-    n = circuit.num_qubits
-    if n > qubit_limit:
-        raise SimulationError(f"{n} qubits exceeds the limit of {qubit_limit}")
+    _check_width(circuit.num_qubits, qubit_limit)
 
 
 def statevector_of(circuit: Circuit, *,
@@ -250,18 +319,36 @@ def sample_counts(circuit: Circuit, shots: int, *, seed: int = 0,
                   check: Callable[[], None] | None = None) -> dict[str, int]:
     """Measurement histogram over repeated seeded runs (clbit 0 rightmost).
 
-    Shot i runs with seed + i.  `check`, when given, is called before every
-    shot; an exception from it stops the sampling.
+    Shot i equals run(circuit, seed=seed + i).  Nothing draws from the
+    generator before the first measurement, so the instructions before it
+    are simulated once, on the first shot, and every shot continues from a
+    copy of that pre-measurement state (and its probe log).  `check`, when
+    given, is called before every shot; an exception from it stops the
+    sampling.
     """
     if not circuit.num_clbits:
         return {}
+    instructions = circuit.instructions
+    first = next((pos for pos, instr in enumerate(instructions)
+                  if isinstance(instr, GateInstruction)
+                  and instr.kind is GateKind.MEASURE), len(instructions))
     counts: dict[str, int] = {}
+    head: RunResult | None = None
     for shot in range(shots):
         if check is not None:
             check()
-        result = run(circuit, seed=seed + shot, qubit_limit=qubit_limit)
+        if head is None:
+            _check_width(circuit.num_qubits, qubit_limit)
+            head = RunResult(zero_state(circuit.num_qubits), {})
+            _execute(instructions[:first], head.state, None, head.probes,
+                     head.measurements)
+        state, log = head.state.copy(), dict(head.probes)
+        measurements: dict[int, int] = {}
+        _execute(instructions[first:], state, np.random.default_rng(seed + shot),
+                 log, measurements)
+        _check_norm(state)
         bits = ["0"] * circuit.num_clbits
-        for clbit, value in result.measurements.items():
+        for clbit, value in measurements.items():
             bits[circuit.num_clbits - 1 - clbit] = str(value)
         key = "".join(bits)
         counts[key] = counts.get(key, 0) + 1

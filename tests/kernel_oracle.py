@@ -3,7 +3,8 @@ oracle for the data-move, phase and dense kernels in qcover.simulator.
 
 Every one-qubit kind other than p takes the dense 2x2 path here, cx and
 swap move amplitudes by n-dimensional tuple indexing or through the tensor
-kernel, and every probe label reads its own marginal.  The fast kernels
+kernel, the tensor kernel moves the operand axes with np.moveaxis on every
+call, and every probe label reads its own marginal.  The fast kernels
 must give states equal to these in value (the sign of an exact zero may
 differ) and the same probe logs.
 """
@@ -13,8 +14,7 @@ import numpy as np
 
 from qcover import gates
 from qcover.ir import Circuit, GateKind, Probe
-from qcover.simulator import (RunResult, SimulationError, _apply_kq, _check_initial,
-                              zero_state)
+from qcover.simulator import RunResult, SimulationError, _check_initial, zero_state
 
 
 def marginal(state: np.ndarray, qubit: int) -> tuple[float, float]:
@@ -51,6 +51,18 @@ def _apply_1q(state: np.ndarray, mat: np.ndarray, qubit: int) -> None:
     hi = view[:, 1, :]
     view[:, 0, :] = mat[0, 0] * lo + mat[0, 1] * hi
     view[:, 1, :] = mat[1, 0] * lo + mat[1, 1] * hi
+
+
+def _apply_kq(state: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]) -> None:
+    n = state.size.bit_length() - 1
+    k = len(qubits)
+    psi = state.reshape((2,) * n)
+    front = [n - 1 - qubits[i] for i in reversed(range(k))]
+    moved = np.moveaxis(psi, front, range(k))
+    tail_shape = moved.shape[k:]
+    flat = moved.reshape(1 << k, -1)
+    result = (mat @ flat).reshape((2,) * k + tail_shape)
+    np.copyto(psi, np.moveaxis(result, range(k), front))
 
 
 def _apply_cx(state: np.ndarray, control: int, target: int) -> None:

@@ -253,19 +253,20 @@ def test_time_limit_stops_shot_sampling(monkeypatch, capsys):
     ticks = itertools.count()
     monkeypatch.setattr(cli, "time",
                         types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-    runs = []
-    real_run = simulator.run
+    measured = []
+    real_measure = simulator._measure
 
-    def counting_run(*args, **kwargs):
-        runs.append(args[0])
-        return real_run(*args, **kwargs)
+    def counting_measure(*args):
+        measured.append(args[1])
+        return real_measure(*args)
 
-    monkeypatch.setattr(simulator, "run", counting_run)
+    monkeypatch.setattr(simulator, "_measure", counting_measure)
     assert main(["cover", SWAP, "--shots", "64", "--time-limit", "6.5"]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qcover: {SWAP}: skipped (time limit of 6.5s exceeded)\n"
-    assert len(runs) == 3  # the probed run, then shots 0 and 1
+    # the probed run's measurement of q[0], then one for each of shots 0 and 1
+    assert measured == [0, 0, 0]
 
 
 def test_timing_flag_is_gone(capsys):

@@ -168,16 +168,22 @@ def test_out_of_order_mutants_reset_the_cursor():
 
 
 def _count_cursor_gates(monkeypatch):
+    """Counts of the kernel steps judge() applies, to the cursor or not;
+    steps count only when built after this call."""
     counts = {"cursor": 0, "other": 0}
-    real = mutation.apply_gate
+    real = mutation.kernel
 
-    def counting(state, *args):
-        slot = mutation._slot
-        counts["cursor" if slot is not None and state is slot.cursor
-               else "other"] += 1
-        real(state, *args)
+    def counting_kernel(*args):
+        step = real(*args)
 
-    monkeypatch.setattr(mutation, "apply_gate", counting)
+        def counting(state):
+            slot = mutation._slot
+            counts["cursor" if slot is not None and state is slot.cursor
+                   else "other"] += 1
+            step(state)
+        return counting
+
+    monkeypatch.setattr(mutation, "kernel", counting_kernel)
     return counts
 
 
@@ -194,8 +200,8 @@ def test_site_ordered_sweep_applies_each_prefix_gate_once(monkeypatch):
 def test_cost_timeout_skips_the_mutant_simulation(monkeypatch):
     original = build(2, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, 1))])
     mutants = generate_mutants(original, ("qgi",))
-    judge(original, mutants[0], timing="cost")  # builds the shared run
     counts = _count_cursor_gates(monkeypatch)
+    judge(original, mutants[0], timing="cost")  # builds the shared run
     for mutant in mutants:
         assert judge(original, mutant, timing="cost").status == "timeout"
     assert counts == {"cursor": 0, "other": 0}
@@ -227,3 +233,74 @@ def test_concurrent_judges_match_the_oracle():
         sys.setswitchinterval(interval)
     for index in range(4):
         assert results[index] == expected[index % 2::2]
+
+
+def _built_kernels(monkeypatch):
+    """Operand keys of the kernels judge() builds after this call."""
+    built = []
+    real = mutation.kernel
+
+    def recording(*args):
+        built.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(mutation, "kernel", recording)
+    return built
+
+
+def _gates(circuit):
+    return [(i.kind, i.qubits, i.params) for i in circuit.instructions]
+
+
+def test_hand_built_suffix_mutants_match_full_resimulation(monkeypatch):
+    rng = np.random.default_rng(15)
+    original = random_circuit(rng, num_qubits=3, num_gates=12)
+    ops = _gates(original)
+    head = (GateKind.SX, (2,), ()) if ops[0][0] is not GateKind.SX else (GateKind.H, (2,), ())
+    unrelated = random_circuit(rng, num_qubits=3, num_gates=12)
+    assert _gates(unrelated)[0] != ops[0] and _gates(unrelated)[-1] != ops[-1]
+    narrower = random_circuit(rng, num_qubits=2, num_gates=6)
+    wider = build(4, 0, ops)
+
+    def every_gate(circuit):  # id gates build no kernel
+        return sum(i.kind is not GateKind.ID for i in circuit.instructions)
+
+    # (mutant, kernels it builds itself)
+    cases = {
+        "suffix only": (build(3, 0, [head] + ops[1:]), 1),
+        "nothing shared": (unrelated, every_gate(unrelated)),
+        "equal": (Circuit(3, 0, original.instructions), 0),
+        "longer": (build(3, 0, [head, head] + ops), 2),
+        "shorter": (build(3, 0, ops[4:]), 0),
+        "wider": (wider, every_gate(wider)),
+        "narrower": (narrower, every_gate(narrower)),
+    }
+    prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
+    for name, (candidate, own) in cases.items():
+        if candidate.num_qubits == original.num_qubits:
+            _assert_matches_oracle(original, [_as_mutant(candidate)],
+                                   timeout_factor=NO_TIMEOUT)
+        else:  # a state of another width has no fidelity to the original's
+            assert judge(original, _as_mutant(candidate), timing="cost",
+                         timeout_factor=NO_TIMEOUT).status == "error"
+        built = _built_kernels(monkeypatch)
+        state = prefix.statevector_of(candidate)
+        monkeypatch.undo()
+        assert state.tobytes() == statevector_of(candidate).tobytes(), name
+        assert len(built) == own, name
+
+
+def test_overlapping_prefix_and_suffix_match_full_resimulation(monkeypatch):
+    # a gate repeated back to back: deleting or doubling one copy leaves a
+    # prefix and a suffix that would overlap if the suffix were not capped
+    rng = np.random.default_rng(16)
+    ops = _gates(random_circuit(rng, num_qubits=3, num_gates=8))
+    original = build(3, 0, ops[:4] + [ops[3], ops[3]] + ops[4:])
+    mutants = generate_mutants(original, ("qgd", "qgi"))
+    mutants += [_as_mutant(build(3, 0, ops[:4] + [ops[3]] * k + ops[4:]), k)
+                for k in (0, 4)]
+    prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
+    for mutant in mutants:
+        _assert_matches_oracle(original, [mutant], timeout_factor=NO_TIMEOUT)
+        assert (prefix.statevector_of(mutant.circuit).tobytes()
+                == statevector_of(mutant.circuit).tobytes()), mutant

@@ -29,16 +29,30 @@ def _random_state(rng: np.random.Generator) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
 def test_kernel_matches_oracle_on_every_operand_tuple(kind):
-    # values, not bytes: the sign of an exact zero may differ
+    # values, not bytes: the sign of an exact zero may differ.  Each step is
+    # built once and replayed on two states, as judge() replays the
+    # original's steps for every mutant.
     rng = np.random.default_rng(list(GateKind).index(kind))
-    state = _random_state(rng)
+    states = (_random_state(rng), _random_state(rng))
     spec = SPECS[kind]
     params = tuple(float(v) for v in rng.uniform(-np.pi, np.pi, spec.num_params))
     for qubits in itertools.permutations(range(WIDTH), spec.num_qubits):
-        got, want = state.copy(), state.copy()
-        simulator.apply_gate(got, kind, params, qubits)
-        kernel_oracle.apply_gate(want, kind, params, qubits)
-        assert np.array_equal(got, want), (kind, qubits)
+        step = simulator.kernel(kind, params, qubits, WIDTH)
+        assert (step is None) == (kind is GateKind.ID)
+        for state in states:
+            got, want, wrapped = state.copy(), state.copy(), state.copy()
+            if step is not None:
+                step(got)
+            kernel_oracle.apply_gate(want, kind, params, qubits)
+            simulator.apply_gate(wrapped, kind, params, qubits)
+            assert np.array_equal(got, want), (kind, qubits)
+            assert got.tobytes() == wrapped.tobytes(), (kind, qubits)
+
+
+def test_kernel_of_barrier_and_measure():
+    assert simulator.kernel(GateKind.BARRIER, (), (0, 1, 2), WIDTH) is None
+    with pytest.raises(simulator.SimulationError, match="cannot process measurements"):
+        simulator.kernel(GateKind.MEASURE, (), (0,), WIDTH)
 
 
 def test_marginal_matches_oracle_bitwise():

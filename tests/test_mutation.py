@@ -1,5 +1,6 @@
 """Mutant generation, judging, scoring, and campaign determinism."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.coverage import analyze
 from qcover.probes import instrument
-from qcover.ir import GateKind
+from qcover.ir import Circuit, GateInstruction, GateKind, renumber
 from qcover.mutation import (
     MutationError,
     SYNTACTIC_CLASSES,
@@ -16,9 +17,11 @@ from qcover.mutation import (
     judge,
     mutation_score,
 )
-from qcover.qasm import parse
+from qcover.qasm import parse, parse_file
 from qcover.simulator import run
 from qcover.transpiler import transpile
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _single_h():
@@ -87,6 +90,45 @@ def test_exactly_one_edit():
                     if (a.kind, a.qubits, a.params, a.clbits)
                     != (b.kind, b.qubits, b.params, b.clbits)]
                 assert len(diffs) == 1
+
+
+def _renumbered(circuit, mutant):
+    """The mutant's circuit as a full renumber() of the edited list."""
+    instructions = list(circuit.instructions)
+    pos = [i.id for i in instructions].index(mutant.site)
+    site = instructions[pos]
+    if mutant.operator == "qgd":
+        body = instructions[:pos] + instructions[pos + 1:]
+    else:
+        kind = GateKind(mutant.detail.split("->")[1] if mutant.operator == "qgr"
+                        else mutant.detail.split()[1])
+        edit = GateInstruction(0, kind, site.qubits, site.params)
+        keep = pos if mutant.operator == "qgr" else pos + 1
+        body = instructions[:keep] + [edit] + instructions[pos + 1:]
+    return Circuit(circuit.num_qubits, circuit.num_clbits, renumber(body))
+
+
+def _with_ids_shifted(circuit):
+    return Circuit(circuit.num_qubits, circuit.num_clbits, tuple(
+        GateInstruction(i.id + 100, i.kind, i.qubits, i.params, i.clbits)
+        for i in circuit.instructions))
+
+
+def test_mutants_equal_full_renumbering():
+    circuits = [parse_file(str(path)) for path in sorted(CORPUS.glob("*.qasm"))]
+    rng = np.random.default_rng(22)
+    circuits += [random_circuit(rng, num_gates=int(rng.integers(3, 13)),
+                               with_measure=i % 2 == 1) for i in range(200)]
+    for circuit in circuits:
+        # ids equal to positions reuse the unmoved instructions; shifted ids
+        # take the renumber() fallback
+        for original in (circuit, _with_ids_shifted(circuit)):
+            for mutant in generate_mutants(original):
+                assert mutant.circuit == _renumbered(original, mutant), mutant
+        for mutant in generate_mutants(circuit):
+            pos = mutant.site + (mutant.operator == "qgi")
+            assert all(a is b for a, b in zip(mutant.circuit.instructions[:pos],
+                                              circuit.instructions))
 
 
 def test_generation_deterministic_and_budget():
