@@ -235,19 +235,6 @@ def test_concurrent_judges_match_the_oracle():
         assert results[index] == expected[index % 2::2]
 
 
-def _built_kernels(monkeypatch):
-    """Operand keys of the kernels judge() builds after this call."""
-    built = []
-    real = mutation.kernel
-
-    def recording(*args):
-        built.append(args[:3])
-        return real(*args)
-
-    monkeypatch.setattr(mutation, "kernel", recording)
-    return built
-
-
 def _gates(circuit):
     return [(i.kind, i.qubits, i.params) for i in circuit.instructions]
 
@@ -283,11 +270,12 @@ def test_hand_built_suffix_mutants_match_full_resimulation(monkeypatch):
         else:  # a state of another width has no fidelity to the original's
             assert judge(original, _as_mutant(candidate), timing="cost",
                          timeout_factor=NO_TIMEOUT).status == "error"
-        built = _built_kernels(monkeypatch)
+        # the shared run's steps were built before counting began
+        counts = _count_cursor_gates(monkeypatch)
         state = prefix.statevector_of(candidate)
         monkeypatch.undo()
         assert state.tobytes() == statevector_of(candidate).tobytes(), name
-        assert len(built) == own, name
+        assert counts == {"cursor": 0, "other": own}, name
 
 
 def test_overlapping_prefix_and_suffix_match_full_resimulation(monkeypatch):
