@@ -21,9 +21,9 @@ as a timeout instead.  Runtime is charged in deterministic cost units,
 executed gates * 2^n, so campaign CSV output is byte-stable across runs.
 
 judge() shares one forward run of the original across calls.  The first
-call for an original simulates it once and keeps its final state, one
-prebuilt kernel step per gate it applies (simulator.kernel), and a cursor:
-the original's state after some number of those steps.  Each later call
+call for an original builds one kernel step per gate it applies
+(simulator.kernel), runs those steps once for its final state, and keeps
+both and a cursor: the original's state after some number of the steps.  Each later call
 finds the prefix and the suffix of applied gates that the mutant shares with
 the original (the suffix never overlaps the prefix), moves the cursor to the
 end of the prefix (starting again from |0...0> when the cursor is already
@@ -51,7 +51,7 @@ import numpy as np
 from .coverage import CoverageReport
 from .ir import Circuit, GateInstruction, GateKind, renumber
 from .simulator import (DEFAULT_QUBIT_LIMIT, check_statevector_input, fidelity,
-                        kernel, statevector_of, zero_state)
+                        kernel, zero_state)
 
 OPERATORS = ("qgr", "qgd", "qgi")
 DEFAULT_TOLERANCE = 1e-8
@@ -97,17 +97,14 @@ def _mutable_sites(circuit: Circuit) -> list[GateInstruction]:
             if i.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
 
 
-def _splice(instructions: tuple, pos: int, drop: int, insert: tuple,
-            ids_are_positions: bool) -> tuple:
+def _splice(instructions: tuple, pos: int, drop: int, insert: tuple) -> tuple:
     """renumber(instructions with `drop` of them at pos replaced by insert).
 
-    When every id equals its position, and each inserted id its new
-    position, the instructions whose id does not move are reused and only
+    Every id must equal its position, and each inserted id its new
+    position: the instructions whose id does not move are reused and only
     the shifted tail is rebuilt.
     """
     spliced = instructions[:pos] + insert + instructions[pos + drop:]
-    if not ids_are_positions:
-        return renumber(spliced)
     if len(insert) == drop:
         return spliced
     end = pos + len(insert)
@@ -132,14 +129,15 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
             raise MutationError(f"unknown mutation operator {op!r}")
 
     instructions = tuple(circuit.instructions)
-    ids_are_positions = all(instr.id == pos for pos, instr in enumerate(instructions))
     position_of = {instr.id: pos for pos, instr in enumerate(instructions)}
+    if not all(instr.id == pos for pos, instr in enumerate(instructions)):
+        instructions = renumber(instructions)
     sites = _mutable_sites(circuit)
     mutants: list[Mutant] = []
 
     def add(operator: str, site: int, detail: str, pos: int, drop: int,
             insert: tuple) -> None:
-        body = _splice(instructions, pos, drop, insert, ids_are_positions)
+        body = _splice(instructions, pos, drop, insert)
         mutants.append(Mutant(len(mutants), operator, site, detail,
                               Circuit(circuit.num_qubits, circuit.num_clbits, body)))
 
@@ -213,9 +211,12 @@ class _SharedPrefix:
         self.qubit_limit = qubit_limit
         self.num_qubits = original.num_qubits
         self.cost = _cost_units(original)
-        self.final = statevector_of(original, qubit_limit=qubit_limit)
+        check_statevector_input(original, qubit_limit)
         self.keys = _op_keys(original)
         self.steps = [kernel(*key, self.num_qubits) for key in self.keys]
+        self.final = zero_state(self.num_qubits)
+        for step in self.steps:
+            step(self.final)
         self.cursor = zero_state(self.num_qubits)
         self.position = 0
         self.lock = threading.Lock()

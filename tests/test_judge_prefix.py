@@ -204,7 +204,8 @@ def test_cost_timeout_skips_the_mutant_simulation(monkeypatch):
     judge(original, mutants[0], timing="cost")  # builds the shared run
     for mutant in mutants:
         assert judge(original, mutant, timing="cost").status == "timeout"
-    assert counts == {"cursor": 0, "other": 0}
+    # only the original's two steps ran, once each, for its final state
+    assert counts == {"cursor": 0, "other": 2}
     monkeypatch.undo()
     _assert_matches_oracle(original, mutants)
 

@@ -121,7 +121,7 @@ def test_mutants_equal_full_renumbering():
                                with_measure=i % 2 == 1) for i in range(200)]
     for circuit in circuits:
         # ids equal to positions reuse the unmoved instructions; shifted ids
-        # take the renumber() fallback
+        # are renumbered once before any mutant is built
         for original in (circuit, _with_ids_shifted(circuit)):
             for mutant in generate_mutants(original):
                 assert mutant.circuit == _renumbered(original, mutant), mutant
