@@ -23,19 +23,19 @@ executed gates * 2^n, so campaign CSV output is byte-stable across runs.
 judge() shares one forward run of the original across calls.  The first
 call for an original builds one kernel step per gate it applies
 (simulator.kernel), runs those steps once for its final state, and keeps
-both and a cursor: the original's state after some number of the steps.  Each later call
-finds the prefix and the suffix of applied gates that the mutant shares with
-the original (the suffix never overlaps the prefix), moves the cursor to the
-end of the prefix (starting again from |0...0> when the cursor is already
-past it), copies it, applies kernels for only the mutant's own gates between
-the two, and then replays the original's prebuilt steps for the suffix.  A
-generated mutant edits one gate, so it applies at most one kernel of its own.
-Every amplitude goes through the same kernels in the same order as in two
-full runs, so states, fidelities and verdicts are bit-identical to full
-re-simulation.  A mutant that times out by cost is not simulated at all.
-The price is memory: while the original circuit is alive, two extra states
-of 2^n amplitudes each stay held (one original at a time; judging another
-original frees them).
+both and a cursor: the original's state after some number of the steps.
+Each later call finds the prefix and the suffix of applied gates that the
+mutant shares with the original (the suffix never overlaps the prefix),
+moves the cursor to the end of the prefix (starting again from |0...0> when
+the cursor is already past it), copies it, applies kernels for only the
+mutant's own gates between the two, and then replays the original's
+prebuilt steps for the suffix.  A generated mutant edits one gate, so it
+applies at most one kernel of its own.  Every amplitude goes through the
+same kernels in the same order as in two full runs, so states, fidelities
+and verdicts are bit-identical to full re-simulation.  A mutant that times
+out by cost is not simulated at all.  The price is memory: while the
+original circuit is alive, two extra states of 2^n amplitudes each stay
+held (one original at a time; judging another original frees them).
 
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
