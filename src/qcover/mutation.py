@@ -17,14 +17,18 @@ A mutant is judged against the original by comparing pre-measurement
 statevectors: |<orig|mut>| >= 1 - tolerance means the mutant survived
 (states equal up to global phase), anything less means it was killed.  A
 mutant whose run costs more than timeout_factor times the original's counts
-as a timeout instead.  Runtime is charged in deterministic cost units,
-executed gates * 2^n, so campaign CSV output is byte-stable across runs.
+as a timeout instead.  Runtime is charged in deterministic cost units:
+the length of the circuit's gate list (simulator.gate_ops: every
+instruction but measurements and barriers) times 2^n, so campaign CSV
+output is byte-stable across runs.
 
-judge() shares one forward run of the original across calls.  The first
-call for an original builds one kernel step per gate it applies
+judge() reads a mutant's gate list in one pass, which also rejects probes
+and too many qubits; that list gives the cost and the match against the
+original's.  judge() shares one forward run of the original across calls.
+The first call for an original builds one kernel step per entry of its list
 (simulator.kernel), runs those steps once for its final state, and keeps
 both and a cursor: the original's state after some number of the steps.
-Each later call finds the prefix and the suffix of applied gates that the
+Each later call finds the prefix and the suffix of the gate list that the
 mutant shares with the original (the suffix never overlaps the prefix),
 moves the cursor to the end of the prefix (starting again from |0...0> when
 the cursor is already past it), copies it, applies kernels for only the
@@ -50,8 +54,8 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .ir import Circuit, GateInstruction, GateKind, renumber
-from .simulator import (DEFAULT_QUBIT_LIMIT, check_statevector_input, fidelity,
-                        kernel, zero_state)
+from .simulator import (DEFAULT_QUBIT_LIMIT, Op, fidelity, gate_ops, kernel,
+                        zero_state)
 
 OPERATORS = ("qgr", "qgd", "qgi")
 DEFAULT_TOLERANCE = 1e-8
@@ -92,11 +96,6 @@ class MutantVerdict:
     mutant_runtime: float
 
 
-def _mutable_sites(circuit: Circuit) -> list[GateInstruction]:
-    return [i for i in circuit.gates
-            if i.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
-
-
 def _splice(instructions: tuple, pos: int, drop: int, insert: tuple) -> tuple:
     """renumber(instructions with `drop` of them at pos replaced by insert).
 
@@ -129,10 +128,11 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
             raise MutationError(f"unknown mutation operator {op!r}")
 
     instructions = tuple(circuit.instructions)
-    position_of = {instr.id: pos for pos, instr in enumerate(instructions)}
     if not all(instr.id == pos for pos, instr in enumerate(instructions)):
         instructions = renumber(instructions)
-    sites = _mutable_sites(circuit)
+    # (position, instruction); without probes every instruction is a gate
+    sites = [(pos, instr) for pos, instr in enumerate(circuit.instructions)
+             if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
     mutants: list[Mutant] = []
 
     def add(operator: str, site: int, detail: str, pos: int, drop: int,
@@ -145,11 +145,10 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
         if operator not in operators:
             continue
         if operator == "qgr":
-            for site in sites:
+            for pos, site in sites:
                 cls = _CLASS_OF.get(site.kind)
                 if cls is None:
                     continue
-                pos = position_of[site.id]
                 for kind in cls:
                     if kind is site.kind:
                         continue
@@ -157,19 +156,17 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
                     add("qgr", site.id, f"{site.kind.value}->{kind.value}",
                         pos, 1, (replaced,))
         elif operator == "qgd":
-            for site in sites:
-                add("qgd", site.id, f"delete {site.kind.value}",
-                    position_of[site.id], 1, ())
+            for pos, site in sites:
+                add("qgd", site.id, f"delete {site.kind.value}", pos, 1, ())
         else:  # qgi
-            for site in sites:
+            for pos, site in sites:
                 cls = _CLASS_OF.get(site.kind)
                 if cls is None:
                     continue
-                pos = position_of[site.id] + 1
                 for kind in cls:
-                    inserted = GateInstruction(pos, kind, site.qubits, site.params)
+                    inserted = GateInstruction(pos + 1, kind, site.qubits, site.params)
                     add("qgi", site.id, f"insert {kind.value} after {site.kind.value}",
-                        pos, 0, (inserted,))
+                        pos + 1, 0, (inserted,))
 
     if budget is not None and budget < len(mutants):
         rng = np.random.default_rng(seed)
@@ -180,39 +177,22 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
     return mutants
 
 
-# -- runtime measurement -----------------------------------------------------
-
-def _cost_units(circuit: Circuit) -> float:
-    """Deterministic runtime proxy: executed gates times state size."""
-    gate_count = sum(1 for i in circuit.gates
-                     if i.kind not in (GateKind.MEASURE, GateKind.BARRIER))
-    return float(gate_count * (1 << circuit.num_qubits))
-
-
-# kinds that statevector_of applies no kernel for
-_NO_STEP = (GateKind.MEASURE, GateKind.BARRIER, GateKind.ID)
-
-
-def _op_keys(circuit: Circuit) -> list[tuple]:
-    """kernel() arguments of each gate statevector_of applies, in order."""
-    return [(i.kind, i.params, i.qubits) for i in circuit.instructions
-            if i.kind not in _NO_STEP]
-
+# -- judging -----------------------------------------------------------------
 
 class _SharedPrefix:
     """One forward run of an original circuit, reused by judge().
 
-    final is the original's statevector and steps its gates' kernels, built
-    once; cursor is its state after the first `position` steps.
+    keys is the original's gate list and cost its cost units; final is its
+    statevector and steps the kernels of keys, built once; cursor is its
+    state after the first `position` steps.
     """
 
     def __init__(self, original: Circuit, qubit_limit: int):
         self.original = weakref.ref(original, _forget)
         self.qubit_limit = qubit_limit
         self.num_qubits = original.num_qubits
-        self.cost = _cost_units(original)
-        check_statevector_input(original, qubit_limit)
-        self.keys = _op_keys(original)
+        self.keys = gate_ops(original, qubit_limit)
+        self.cost = float(len(self.keys) << self.num_qubits)
         self.steps = [kernel(*key, self.num_qubits) for key in self.keys]
         self.final = zero_state(self.num_qubits)
         for step in self.steps:
@@ -221,21 +201,20 @@ class _SharedPrefix:
         self.position = 0
         self.lock = threading.Lock()
 
-    def statevector_of(self, circuit: Circuit) -> np.ndarray:
-        """statevector_of(circuit), bit for bit, from the shared run."""
-        keys = _op_keys(circuit)
+    def statevector_of(self, ops: list[Op]) -> np.ndarray:
+        """statevector_of, bit for bit, of a circuit of the original's width
+        whose gate_ops are ops, from the shared run."""
         k = s = 0
-        if circuit.num_qubits == self.num_qubits:
-            for mine, theirs in zip(self.keys, keys):
-                if mine != theirs:
-                    break
-                k += 1
-            # the shared suffix starts after the shared prefix in both circuits
-            limit = min(len(keys), len(self.keys)) - k
-            while s < limit and keys[-1 - s] == self.keys[-1 - s]:
-                s += 1
+        for mine, theirs in zip(self.keys, ops):
+            if mine != theirs:
+                break
+            k += 1
+        # the shared suffix starts after the shared prefix in both circuits
+        limit = min(len(ops), len(self.keys)) - k
+        while s < limit and ops[-1 - s] == self.keys[-1 - s]:
+            s += 1
         if k == 0:
-            state = zero_state(circuit.num_qubits)
+            state = zero_state(self.num_qubits)
         else:
             with self.lock:
                 if not 0 <= self.position <= k:
@@ -248,8 +227,8 @@ class _SharedPrefix:
                     step(self.cursor)
                 self.position = k
                 state = self.cursor.copy()
-        for key in keys[k:len(keys) - s]:
-            kernel(*key, circuit.num_qubits)(state)
+        for op in ops[k:len(ops) - s]:
+            kernel(*op, self.num_qubits)(state)
         for step in self.steps[len(self.steps) - s:]:
             step(state)
         return state
@@ -310,14 +289,14 @@ def judge(original: Circuit, mutant: Mutant,
         return error
     try:
         prefix = _shared_prefix(original, qubit_limit)
-        check_statevector_input(mutant.circuit, qubit_limit)
+        ops = gate_ops(mutant.circuit, qubit_limit)
     except Exception:
         return error
-    ref_time, mut_time = prefix.cost, _cost_units(mutant.circuit)
+    ref_time, mut_time = prefix.cost, float(len(ops) << prefix.num_qubits)
     if mut_time > timeout_factor * ref_time:
         return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
     try:
-        mut_state = prefix.statevector_of(mutant.circuit)
+        mut_state = prefix.statevector_of(ops)
     except Exception:
         return error
     fid = fidelity(prefix.final, mut_state)
@@ -415,8 +394,7 @@ def campaign(circuit: Circuit, report: CoverageReport,
     survived = sum(1 for v in verdicts if v.status == "survived")
     timeouts = sum(1 for v in verdicts if v.status == "timeout")
     errors = sum(1 for v in verdicts if v.status == "error")
-    judged = killed + survived + timeouts
-    score = killed / judged if judged else None
+    score = mutation_score(verdicts) if killed + survived + timeouts else None
 
     return CampaignResult(
         circuit_name=circuit_name,

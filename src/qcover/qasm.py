@@ -383,7 +383,7 @@ class _Parser:
         if tag == "fun":
             try:
                 return _FUNCS[node[1]](self.eval_expr(node[2], env, tok))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise self.error(f"math error in parameter: {exc}", tok) from None
         _, op, left, right = node
         a = self.eval_expr(left, env, tok)
@@ -529,6 +529,10 @@ class _Parser:
     def emit(self, kind: GateKind, params: tuple[float, ...],
              qubits: tuple[int, ...], clbits: tuple[int, ...],
              tok: _Token) -> None:
+        # the one check for every call: top-level, alias or inlined body
+        for value in params:
+            if not math.isfinite(value):
+                raise self.error(f"{kind} parameter {value!r} is not finite", tok)
         try:
             instr = GateInstruction(self.next_id, kind, qubits, params, clbits)
         except ValueError as exc:
@@ -541,9 +545,15 @@ def parse(source: str, filename: str = "<input>") -> Circuit:
     """Parse OpenQASM 2.0 source into a Circuit.
 
     Raises QasmError with a SourceSpan for any syntax problem, unsupported
-    gate, or non-2.0 version header; never raises anything else on text input.
+    gate, parameter that is not a finite real, nesting too deep for the
+    recursive descent, or non-2.0 version header; never raises anything
+    else on text input.
     """
-    return _Parser(source, filename).parse()
+    parser = _Parser(source, filename)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("expression or gate calls nest too deeply") from None
 
 
 def parse_file(path: str) -> Circuit:
@@ -557,6 +567,8 @@ def parse_file(path: str) -> Circuit:
 
 def _format_angle(value: float) -> str:
     """Render an angle, preferring exact small fractions of pi."""
+    if not math.isfinite(value):
+        raise SerializationError(f"parameter {value!r} has no OpenQASM form")
     if value == 0.0:
         return "0"
     for den in (1, 2, 4, 3, 8, 6, 16, 32):
@@ -576,7 +588,7 @@ def serialize(circuit: Circuit) -> str:
     """Emit OpenQASM 2.0 that parses back to an identical circuit.
 
     Probes are simulator directives with no QASM form; circuits containing
-    them are rejected.
+    them, or a parameter that is inf or nan, are rejected.
     """
     if circuit.has_probes():
         raise SerializationError("probes not serializable")

@@ -4,10 +4,12 @@ Dense statevector simulator with non-collapsing probes.
 State layout is little-endian: amplitude index bit q holds the basis value of
 qubit q.  kernel() binds one gate to its operands and a state width: it
 works out the matrix or scalar factors, the view shapes, the sector indices
-and the axis orders once and returns a step that applies the gate in place.
-apply_gate(), run() and statevector_of() build their steps there, and the
-mutation judge keeps an original's steps to replay them for every mutant.
-Steps apply gates through stride-based views:
+and the axis orders once and returns a step that applies the gate in place
+(barrier and id share one that does nothing; measure has none).  gate_ops()
+is a circuit's gate list, the kernel() arguments of every instruction but
+measurements and barriers; statevector_of() applies it, and the mutation
+judge reads it once per circuit.  Steps apply gates through stride-based
+views:
 
 - cx and swap exchange two sectors of a (high, low) qubit pair, and x
   exchanges the two halves of its qubit, moving data without arithmetic;
@@ -83,17 +85,25 @@ Step = Callable[[np.ndarray], None]
 _HALF = ((slice(None), 0, slice(None)), (slice(None), 1, slice(None)))
 
 
+# kernel() arguments of one gate: kind, params, qubits
+Op = tuple[GateKind, tuple[float, ...], tuple[int, ...]]
+
+
+def _no_op(state: np.ndarray) -> None:
+    """The step of barrier and id."""
+
+
 def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
-           num_qubits: int) -> Step | None:
+           num_qubits: int) -> Step:
     """One gate bound to its operands: a step that applies it in place to
-    any state of num_qubits qubits, or None for barrier and id (no-ops).
+    any state of num_qubits qubits (barrier and id do nothing).
 
     The matrix or scalar factors, view shapes, sector indices and axis
     orders are worked out here, once, so replaying a step costs only its
     numpy calls.  Raises SimulationError for a measurement.
     """
     if kind in (GateKind.BARRIER, GateKind.ID):
-        return None
+        return _no_op
     if kind is GateKind.MEASURE:
         raise SimulationError("apply_gate cannot process measurements")
     if kind is GateKind.CX:
@@ -115,9 +125,7 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
 def apply_gate(state: np.ndarray, kind: GateKind,
                params: tuple[float, ...], qubits: tuple[int, ...]) -> None:
     """Apply one gate in place.  Barriers and id are no-ops."""
-    step = kernel(kind, params, qubits, state.size.bit_length() - 1)
-    if step is not None:
-        step(state)
+    kernel(kind, params, qubits, state.size.bit_length() - 1)(state)
 
 
 def _flip(qubit: int) -> Step:
@@ -286,11 +294,21 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     return RunResult(state, log, measurements)
 
 
-def check_statevector_input(circuit: Circuit, qubit_limit: int) -> None:
-    """Raise SimulationError unless statevector_of accepts the circuit."""
-    if circuit.has_probes():
-        raise SimulationError("statevector_of expects a probe-free circuit")
+def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
+    """kernel() arguments of every instruction except measurements and
+    barriers, in order: what statevector_of applies.
+
+    Raises SimulationError for a circuit with probes, then for one wider
+    than qubit_limit.
+    """
+    ops: list[Op] = []
+    for instr in circuit.instructions:
+        if isinstance(instr, Probe):
+            raise SimulationError("statevector_of expects a probe-free circuit")
+        if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+            ops.append((instr.kind, instr.params, instr.qubits))
     _check_width(circuit.num_qubits, qubit_limit)
+    return ops
 
 
 def statevector_of(circuit: Circuit, *,
@@ -300,12 +318,10 @@ def statevector_of(circuit: Circuit, *,
     Measurements are skipped (the state is taken before any collapse);
     probes are not allowed.
     """
-    check_statevector_input(circuit, qubit_limit)
+    ops = gate_ops(circuit, qubit_limit)
     state = zero_state(circuit.num_qubits)
-    for instr in circuit.instructions:
-        if instr.kind is GateKind.MEASURE:
-            continue
-        apply_gate(state, instr.kind, instr.params, instr.qubits)
+    for op in ops:
+        kernel(*op, circuit.num_qubits)(state)
     return state
 
 

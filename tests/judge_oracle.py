@@ -2,14 +2,23 @@
 
 This is judge() in cost mode as it was before the original's run was shared
 across calls: the original and the mutant are each simulated from |0...0>
-on every call, and the mutant is simulated even when it times out.
+on every call, and the mutant is simulated even when it times out.  It
+counts cost units with its own copy of judge()'s earlier _cost_units, so
+the oracle shares no code with the gate list it checks.
 """
 from __future__ import annotations
 
-from qcover.ir import Circuit
+from qcover.ir import Circuit, GateKind
 from qcover.mutation import (DEFAULT_TIMEOUT_FACTOR, DEFAULT_TOLERANCE, Mutant,
-                             MutantVerdict, _cost_units)
+                             MutantVerdict)
 from qcover.simulator import DEFAULT_QUBIT_LIMIT, fidelity, statevector_of
+
+
+def _cost_units(circuit: Circuit) -> float:
+    """Deterministic runtime proxy: executed gates times state size."""
+    gate_count = sum(1 for i in circuit.gates
+                     if i.kind not in (GateKind.MEASURE, GateKind.BARRIER))
+    return float(gate_count * (1 << circuit.num_qubits))
 
 
 def judge_full(original: Circuit, mutant: Mutant,

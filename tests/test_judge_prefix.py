@@ -21,7 +21,7 @@ from qcover.probes import instrument
 from qcover.ir import Circuit, GateKind
 from qcover.mutation import Mutant, generate_mutants, judge
 from qcover.qasm import parse_file
-from qcover.simulator import statevector_of
+from qcover.simulator import gate_ops, statevector_of
 from qcover.transpiler import transpile
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -58,7 +58,8 @@ def test_corpus_mutants_match_full_resimulation(timeout_factor):
         _assert_matches_oracle(original, mutants, timeout_factor=timeout_factor)
         prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
         for mutant in mutants:
-            assert (prefix.statevector_of(mutant.circuit).tobytes()
+            ops = gate_ops(mutant.circuit, mutation.DEFAULT_QUBIT_LIMIT)
+            assert (prefix.statevector_of(ops).tobytes()
                     == statevector_of(mutant.circuit).tobytes()), mutant
 
 
@@ -250,30 +251,30 @@ def test_hand_built_suffix_mutants_match_full_resimulation(monkeypatch):
     narrower = random_circuit(rng, num_qubits=2, num_gates=6)
     wider = build(4, 0, ops)
 
-    def every_gate(circuit):  # id gates build no kernel
-        return sum(i.kind is not GateKind.ID for i in circuit.instructions)
-
-    # (mutant, kernels it builds itself)
+    # (mutant, kernels it builds itself); judge() returns error for another
+    # width before it builds any
     cases = {
         "suffix only": (build(3, 0, [head] + ops[1:]), 1),
-        "nothing shared": (unrelated, every_gate(unrelated)),
+        # every gate, an id too: it builds a step that does nothing
+        "nothing shared": (unrelated, len(unrelated.instructions)),
         "equal": (Circuit(3, 0, original.instructions), 0),
         "longer": (build(3, 0, [head, head] + ops), 2),
         "shorter": (build(3, 0, ops[4:]), 0),
-        "wider": (wider, every_gate(wider)),
-        "narrower": (narrower, every_gate(narrower)),
+        "wider": (wider, None),
+        "narrower": (narrower, None),
     }
     prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
     for name, (candidate, own) in cases.items():
-        if candidate.num_qubits == original.num_qubits:
-            _assert_matches_oracle(original, [_as_mutant(candidate)],
-                                   timeout_factor=NO_TIMEOUT)
-        else:  # a state of another width has no fidelity to the original's
+        if candidate.num_qubits != original.num_qubits:
+            # a state of another width has no fidelity to the original's
             assert judge(original, _as_mutant(candidate), timing="cost",
                          timeout_factor=NO_TIMEOUT).status == "error"
+            continue
+        _assert_matches_oracle(original, [_as_mutant(candidate)],
+                               timeout_factor=NO_TIMEOUT)
         # the shared run's steps were built before counting began
         counts = _count_cursor_gates(monkeypatch)
-        state = prefix.statevector_of(candidate)
+        state = prefix.statevector_of(gate_ops(candidate, mutation.DEFAULT_QUBIT_LIMIT))
         monkeypatch.undo()
         assert state.tobytes() == statevector_of(candidate).tobytes(), name
         assert counts == {"cursor": 0, "other": own}, name
@@ -291,5 +292,6 @@ def test_overlapping_prefix_and_suffix_match_full_resimulation(monkeypatch):
     prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
     for mutant in mutants:
         _assert_matches_oracle(original, [mutant], timeout_factor=NO_TIMEOUT)
-        assert (prefix.statevector_of(mutant.circuit).tobytes()
+        ops = gate_ops(mutant.circuit, mutation.DEFAULT_QUBIT_LIMIT)
+        assert (prefix.statevector_of(ops).tobytes()
                 == statevector_of(mutant.circuit).tobytes()), mutant

@@ -38,19 +38,23 @@ def test_kernel_matches_oracle_on_every_operand_tuple(kind):
     params = tuple(float(v) for v in rng.uniform(-np.pi, np.pi, spec.num_params))
     for qubits in itertools.permutations(range(WIDTH), spec.num_qubits):
         step = simulator.kernel(kind, params, qubits, WIDTH)
-        assert (step is None) == (kind is GateKind.ID)
         for state in states:
             got, want, wrapped = state.copy(), state.copy(), state.copy()
-            if step is not None:
-                step(got)
+            step(got)
             kernel_oracle.apply_gate(want, kind, params, qubits)
             simulator.apply_gate(wrapped, kind, params, qubits)
             assert np.array_equal(got, want), (kind, qubits)
             assert got.tobytes() == wrapped.tobytes(), (kind, qubits)
+            if kind is GateKind.ID:
+                assert got.tobytes() == state.tobytes(), qubits
 
 
 def test_kernel_of_barrier_and_measure():
-    assert simulator.kernel(GateKind.BARRIER, (), (0, 1, 2), WIDTH) is None
+    state = _random_state(np.random.default_rng(4))
+    for qubits in ((0,), (0, 1, 2), tuple(range(WIDTH))):
+        got = state.copy()
+        simulator.kernel(GateKind.BARRIER, (), qubits, WIDTH)(got)
+        assert got.tobytes() == state.tobytes(), qubits
     with pytest.raises(simulator.SimulationError, match="cannot process measurements"):
         simulator.kernel(GateKind.MEASURE, (), (0,), WIDTH)
 

@@ -118,9 +118,43 @@ def test_u_cx_builtin_and_legacy_aliases():
 
 
 def test_overflowing_parameter_is_a_diagnostic():
-    for expr in ("2^999999999", "0^(0-1)"):
+    for expr in ("2^999999999", "0^(0-1)", "exp(1000)"):
         with pytest.raises(QasmError, match="math error"):
             parse(f'OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n')
+
+
+@pytest.mark.parametrize("call, col", [
+    ("rz(1e400) q[0];", 1),
+    ("rz(1e308*10) q[0];", 1),
+    ("rz(1e400-1e400) q[0];", 1),
+    ("u1(-1e400) q[0];", 1),
+    ("gate g(t) a { rz(t*10) a; }\ng(1e308) q[0];", 15),
+], ids=["inf", "overflow", "nan", "alias", "gate-body"])
+def test_parameter_that_is_not_finite_is_a_diagnostic(call, col):
+    with pytest.raises(QasmError, match="is not finite") as info:
+        parse(f"OPENQASM 2.0;\nqreg q[1];\n{call}\n", filename="f.qasm")
+    span = info.value.span
+    assert (span.file, span.line, span.col_start) == ("f.qasm", 3, col)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_serialize_rejects_a_parameter_that_is_not_finite(value):
+    circuit = build(1, 0, [(GateKind.RZ, (0,), (value,))])
+    with pytest.raises(SerializationError, match="no OpenQASM form"):
+        serialize(circuit)
+
+
+@pytest.mark.parametrize("body", [
+    "rz(" + "(" * 3000 + "1" + ")" * 3000 + ") q[0];",
+    "rz(" + "-" * 3000 + "1) q[0];",
+    "gate g0 a { h a; }\n"
+    + "".join(f"gate g{i} a {{ g{i - 1} a; }}\n" for i in range(1, 1000))
+    + "g999 q[0];",
+], ids=["parentheses", "unary-minus", "gate-chain"])
+def test_deep_nesting_is_a_diagnostic(body):
+    with pytest.raises(QasmError, match="nest too deeply") as info:
+        parse(f"OPENQASM 2.0;\nqreg q[1];\n{body}\n")
+    assert info.value.span is not None
 
 
 def test_version_errors():
@@ -239,6 +273,37 @@ def test_parser_total_on_structured_fuzz(text):
         parse(text)
     except QasmError:
         pass
+
+
+_EXPR_TOKENS = (*"0123456789", ".", "e", "+", "-", "*", "/", "^", "(", ")",
+                "pi", "sin", "cos", "tan", "exp", "ln", "sqrt")
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt")
+
+# well-formed expressions over the same tokens, so that large literals,
+# exp() of them and products of them come up often; and free token strings
+_NUMBER = st.builds("{}{}{}".format, st.integers(0, 9999),
+                    st.sampled_from(("", ".", ".5")),
+                    st.one_of(st.just(""), st.integers(0, 999).map("e{}".format)))
+_WELL_FORMED = st.recursive(
+    st.one_of(_NUMBER, st.just("pi")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map("".join),
+        st.tuples(st.sampled_from(_FUNCTIONS), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda e: f"-({e})"),
+    ),
+    max_leaves=6)
+_TOKEN_SOUP = st.lists(st.sampled_from(_EXPR_TOKENS), min_size=1, max_size=24).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_WELL_FORMED, _TOKEN_SOUP))
+def test_parameter_expression_fuzz_is_a_diagnostic_or_finite(expr):
+    # overflow, inf and nan must surface as diagnostics, never as values
+    try:
+        circuit = parse(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+    except QasmError:
+        return
+    assert all(math.isfinite(v) for i in circuit.instructions for v in i.params)
 
 
 def test_successful_parse_builds_no_span(monkeypatch):
