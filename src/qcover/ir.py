@@ -6,7 +6,7 @@ Contains:
     - GateSpec / SPECS: per-kind arity, parameter count, control positions
     - GateInstruction, Probe: the instruction types
     - Circuit: immutable ordered instruction list over flat qubit/clbit spaces
-    - validate(), renumber()
+    - validate()
 
 Qubit indices are flat (registers are resolved by the frontend) and the
 statevector convention downstream is little-endian: qubit 0 is the least
@@ -190,19 +190,6 @@ class Circuit:
 
     def has_probes(self) -> bool:
         return any(isinstance(i, Probe) for i in self.instructions)
-
-
-def renumber(instructions: list[Instruction] | tuple[Instruction, ...],
-             start: int = 0) -> tuple[Instruction, ...]:
-    """Reassign instruction ids densely in list order, from `start`."""
-    out: list[Instruction] = []
-    for new_id, instr in enumerate(instructions, start):
-        if isinstance(instr, GateInstruction):
-            out.append(GateInstruction(new_id, instr.kind, instr.qubits,
-                                       instr.params, instr.clbits))
-        else:
-            out.append(Probe(new_id, instr.mode, instr.qubit, instr.label))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

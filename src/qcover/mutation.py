@@ -13,31 +13,30 @@ counts):
     C  parameterless single-control    cx cy cz ch csx
     D  one-parameter single-control    crx cry crz cp cu1
 
-A mutant is judged against the original by comparing pre-measurement
-statevectors: |<orig|mut>| >= 1 - tolerance means the mutant survived
-(states equal up to global phase), anything less means it was killed.  A
-mutant whose run costs more than timeout_factor times the original's counts
-as a timeout instead.  Runtime is charged in deterministic cost units:
-the length of the circuit's gate list (simulator.gate_ops: every
-instruction but measurements and barriers) times 2^n, so campaign CSV
-output is byte-stable across runs.
+A mutant is an edit record, not a circuit: at the index `at` of the
+original's gate list (simulator.gate_ops: every instruction but
+measurements and barriers) it drops `drop` gates, 0 or 1, and puts the
+gates `insert` there.  It is judged against the original by comparing
+pre-measurement statevectors: |<orig|mut>| >= 1 - tolerance means the
+mutant survived (states equal up to global phase), anything less means it
+was killed.  A mutant whose run costs more than timeout_factor times the
+original's counts as a timeout instead.  Runtime is charged in
+deterministic cost units: the length of the gate list times 2^n, for the
+mutant the original's length less `drop` plus the length of `insert`, so
+campaign CSV output is byte-stable across runs.
 
-judge() reads a mutant's gate list in one pass, which also rejects probes
-and too many qubits; that list gives the cost and the match against the
-original's.  judge() shares one forward run of the original across calls.
-The first call for an original builds one kernel step per entry of its list
+judge() shares one forward run of the original across calls.  The first
+call for an original reads its gate list in one pass, which also rejects
+probes and too many qubits, builds one kernel step per entry of the list
 (simulator.kernel), runs those steps once for its final state, and keeps
 both and a cursor: the original's state after some number of the steps.
-Each later call finds the prefix and the suffix of the gate list that the
-mutant shares with the original (the suffix never overlaps the prefix),
-moves the cursor to the end of the prefix (starting again from |0...0> when
-the cursor is already past it), copies it, applies kernels for only the
-mutant's own gates between the two, and then replays the original's
-prebuilt steps for the suffix.  A generated mutant edits one gate, so it
-applies at most one kernel of its own.  Every amplitude goes through the
-same kernels in the same order as in two full runs, so states, fidelities
-and verdicts are bit-identical to full re-simulation.  A mutant that times
-out by cost is not simulated at all.  The price is memory: while the
+Each call moves the cursor to the edit's index `at` (starting again from
+|0...0> when the cursor is already past it), copies it, applies kernels
+for the gates of `insert`, and then replays the original's prebuilt steps
+after the dropped ones.  Every amplitude goes through the same kernels in
+the same order as in two full runs, so states, fidelities and verdicts are
+bit-identical to full re-simulation of the edited circuit.  A mutant that
+times out by cost is not simulated at all.  The price is memory: while the
 original circuit is alive, two extra states of 2^n amplitudes each stay
 held (one original at a time; judging another original frees them).
 
@@ -48,12 +47,12 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coverage import CoverageReport
-from .ir import Circuit, GateInstruction, GateKind, renumber
+from .ir import Circuit, GateKind
 from .simulator import (DEFAULT_QUBIT_LIMIT, Op, fidelity, gate_ops, kernel,
                         zero_state)
 
@@ -84,7 +83,9 @@ class Mutant:
     operator: str
     site: int        # instruction id in the original circuit
     detail: str
-    circuit: Circuit
+    at: int          # index in the original's gate_ops where the edit starts
+    drop: int        # original gates removed at `at`: 0 or 1
+    insert: tuple[Op, ...]  # gates put at `at`
 
 
 @dataclass(frozen=True)
@@ -96,20 +97,6 @@ class MutantVerdict:
     mutant_runtime: float
 
 
-def _splice(instructions: tuple, pos: int, drop: int, insert: tuple) -> tuple:
-    """renumber(instructions with `drop` of them at pos replaced by insert).
-
-    Every id must equal its position, and each inserted id its new
-    position: the instructions whose id does not move are reused and only
-    the shifted tail is rebuilt.
-    """
-    spliced = instructions[:pos] + insert + instructions[pos + drop:]
-    if len(insert) == drop:
-        return spliced
-    end = pos + len(insert)
-    return spliced[:end] + renumber(spliced[end:], start=end)
-
-
 def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
                      seed: int = 0, budget: int | None = None) -> list[Mutant]:
     """Enumerate first-order mutants, optionally subsampled to a budget.
@@ -117,7 +104,9 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
     Enumeration is deterministic: operators in canonical order, sites in
     program order, replacement kinds in class order.  The seed only matters
     when a budget forces subsampling; a negative budget raises
-    MutationError.  Mutant instruction ids are dense in program order.
+    MutationError.  Each mutant is an edit of the circuit's gate list:
+    qgr drops the site's gate and inserts the replacement, qgd drops it,
+    and qgi inserts the new gate after it.
     """
     if budget is not None and budget < 0:
         raise MutationError(f"budget must not be negative, got {budget}")
@@ -127,52 +116,44 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
         if op not in OPERATORS:
             raise MutationError(f"unknown mutation operator {op!r}")
 
-    instructions = tuple(circuit.instructions)
-    if not all(instr.id == pos for pos, instr in enumerate(instructions)):
-        instructions = renumber(instructions)
-    # (position, instruction); without probes every instruction is a gate
-    sites = [(pos, instr) for pos, instr in enumerate(circuit.instructions)
+    # the gate list gate_ops gives; without probes every instruction is a gate
+    sites = [instr for instr in circuit.instructions
              if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
     mutants: list[Mutant] = []
 
-    def add(operator: str, site: int, detail: str, pos: int, drop: int,
-            insert: tuple) -> None:
-        body = _splice(instructions, pos, drop, insert)
-        mutants.append(Mutant(len(mutants), operator, site, detail,
-                              Circuit(circuit.num_qubits, circuit.num_clbits, body)))
+    def add(operator: str, site: int, detail: str, at: int, drop: int,
+            insert: tuple[Op, ...]) -> None:
+        mutants.append(Mutant(len(mutants), operator, site, detail, at, drop, insert))
 
     for operator in OPERATORS:
         if operator not in operators:
             continue
         if operator == "qgr":
-            for pos, site in sites:
+            for at, site in enumerate(sites):
                 cls = _CLASS_OF.get(site.kind)
                 if cls is None:
                     continue
                 for kind in cls:
                     if kind is site.kind:
                         continue
-                    replaced = GateInstruction(pos, kind, site.qubits, site.params)
                     add("qgr", site.id, f"{site.kind.value}->{kind.value}",
-                        pos, 1, (replaced,))
+                        at, 1, ((kind, site.params, site.qubits),))
         elif operator == "qgd":
-            for pos, site in sites:
-                add("qgd", site.id, f"delete {site.kind.value}", pos, 1, ())
+            for at, site in enumerate(sites):
+                add("qgd", site.id, f"delete {site.kind.value}", at, 1, ())
         else:  # qgi
-            for pos, site in sites:
+            for at, site in enumerate(sites):
                 cls = _CLASS_OF.get(site.kind)
                 if cls is None:
                     continue
                 for kind in cls:
-                    inserted = GateInstruction(pos + 1, kind, site.qubits, site.params)
                     add("qgi", site.id, f"insert {kind.value} after {site.kind.value}",
-                        pos + 1, 0, (inserted,))
+                        at + 1, 0, ((kind, site.params, site.qubits),))
 
     if budget is not None and budget < len(mutants):
         rng = np.random.default_rng(seed)
         keep = sorted(rng.choice(len(mutants), size=budget, replace=False))
-        mutants = [Mutant(new_id, mutants[i].operator, mutants[i].site,
-                          mutants[i].detail, mutants[i].circuit)
+        mutants = [replace(mutants[i], mutant_id=new_id)
                    for new_id, i in enumerate(keep)]
     return mutants
 
@@ -182,18 +163,18 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
 class _SharedPrefix:
     """One forward run of an original circuit, reused by judge().
 
-    keys is the original's gate list and cost its cost units; final is its
-    statevector and steps the kernels of keys, built once; cursor is its
-    state after the first `position` steps.
+    steps are the kernels of the original's gate list, built once, and cost
+    its cost units; final is its statevector; cursor is its state after the
+    first `position` steps.
     """
 
     def __init__(self, original: Circuit, qubit_limit: int):
         self.original = weakref.ref(original, _forget)
         self.qubit_limit = qubit_limit
         self.num_qubits = original.num_qubits
-        self.keys = gate_ops(original, qubit_limit)
-        self.cost = float(len(self.keys) << self.num_qubits)
-        self.steps = [kernel(*key, self.num_qubits) for key in self.keys]
+        self.steps = [kernel(*op, self.num_qubits)
+                      for op in gate_ops(original, qubit_limit)]
+        self.cost = float(len(self.steps) << self.num_qubits)
         self.final = zero_state(self.num_qubits)
         for step in self.steps:
             step(self.final)
@@ -201,35 +182,24 @@ class _SharedPrefix:
         self.position = 0
         self.lock = threading.Lock()
 
-    def statevector_of(self, ops: list[Op]) -> np.ndarray:
-        """statevector_of, bit for bit, of a circuit of the original's width
-        whose gate_ops are ops, from the shared run."""
-        k = s = 0
-        for mine, theirs in zip(self.keys, ops):
-            if mine != theirs:
-                break
-            k += 1
-        # the shared suffix starts after the shared prefix in both circuits
-        limit = min(len(ops), len(self.keys)) - k
-        while s < limit and ops[-1 - s] == self.keys[-1 - s]:
-            s += 1
-        if k == 0:
-            state = zero_state(self.num_qubits)
-        else:
-            with self.lock:
-                if not 0 <= self.position <= k:
-                    self.cursor = zero_state(self.num_qubits)
-                    self.position = 0
-                # -1 marks the cursor unusable until the sweep completes, so
-                # an interrupted sweep forces a restart instead of a bad state
-                start, self.position = self.position, -1
-                for step in self.steps[start:k]:
-                    step(self.cursor)
-                self.position = k
-                state = self.cursor.copy()
-        for op in ops[k:len(ops) - s]:
+    def statevector_of(self, mutant: Mutant) -> np.ndarray:
+        """statevector_of, bit for bit, of the original with the mutant's
+        edit applied to its gate list, from the shared run."""
+        at = mutant.at
+        with self.lock:
+            if not 0 <= self.position <= at:
+                self.cursor = zero_state(self.num_qubits)
+                self.position = 0
+            # -1 marks the cursor unusable until the sweep completes, so an
+            # interrupted sweep forces a restart instead of a bad state
+            start, self.position = self.position, -1
+            for step in self.steps[start:at]:
+                step(self.cursor)
+            self.position = at
+            state = self.cursor.copy()
+        for op in mutant.insert:
             kernel(*op, self.num_qubits)(state)
-        for step in self.steps[len(self.steps) - s:]:
+        for step in self.steps[at + mutant.drop:]:
             step(state)
         return state
 
@@ -269,34 +239,36 @@ def judge(original: Circuit, mutant: Mutant,
           qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> MutantVerdict:
     """Classify one mutant as killed, survived, or timeout.
 
-    Simulation failures, and a mutant whose qubit count differs from the
-    original's, yield an 'error' verdict rather than raising, so a campaign
-    can keep going.  The original's run is shared with the previous call
-    when `original` is the same object and `qubit_limit` is unchanged: only
-    the mutant's gates between its common prefix and its common suffix with
-    the original are applied, and the suffix replays the original's prebuilt
-    kernels.  This holds two extra states of the original's size for as long
-    as the original circuit lives.  Runtimes are cost units; `timing`
+    Simulation failures yield an 'error' verdict rather than raising, so a
+    campaign can keep going.  The original's run is shared with the
+    previous call when `original` is the same object and `qubit_limit` is
+    unchanged: the cursor moves to the edit's index, only the inserted
+    gates are applied, and the rest replays the original's prebuilt
+    kernels.  This holds two extra states of the original's size for as
+    long as the original circuit lives.  Runtimes are cost units; `timing`
     accepts only "cost".  Raises MutationError for a tolerance outside
-    [0, 1) or a timeout_factor that is not positive.
+    [0, 1), a timeout_factor that is not positive, or an edit that does not
+    fit the original's gate list.
     """
     if timing != "cost":
         raise MutationError(f"unknown timing mode {timing!r}")
     _check_thresholds(tolerance, timeout_factor)
     error = MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
-    # generated mutants keep the width; a hand-built one may not
-    if mutant.circuit.num_qubits != original.num_qubits:
-        return error
     try:
         prefix = _shared_prefix(original, qubit_limit)
-        ops = gate_ops(mutant.circuit, qubit_limit)
     except Exception:
         return error
-    ref_time, mut_time = prefix.cost, float(len(ops) << prefix.num_qubits)
+    gates = len(prefix.steps)
+    if not 0 <= mutant.at <= mutant.at + mutant.drop <= gates:
+        raise MutationError(
+            f"mutant {mutant.mutant_id} edits gates {mutant.at} to "
+            f"{mutant.at + mutant.drop} of a gate list of {gates}")
+    ref_time = prefix.cost
+    mut_time = float((gates - mutant.drop + len(mutant.insert)) << prefix.num_qubits)
     if mut_time > timeout_factor * ref_time:
         return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
     try:
-        mut_state = prefix.statevector_of(ops)
+        mut_state = prefix.statevector_of(mutant)
     except Exception:
         return error
     fid = fidelity(prefix.final, mut_state)
@@ -381,7 +353,11 @@ def campaign(circuit: Circuit, report: CoverageReport,
         raise MutationError("verdict list does not match the mutant list")
     per_operator: dict[str, list[int]] = {op: [0, 0, 0, 0] for op in operators}
     for mutant, verdict in zip(mutants, verdicts):
-        tally = per_operator[mutant.operator]
+        tally = per_operator.get(mutant.operator)
+        if tally is None:
+            raise MutationError(
+                f"mutant {mutant.mutant_id} has operator {mutant.operator!r}, "
+                f"not one of {'+'.join(operators)}")
         tally[0] += 1
         if verdict.status == "killed":
             tally[1] += 1

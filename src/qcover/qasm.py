@@ -532,7 +532,7 @@ class _Parser:
         # the one check for every call: top-level, alias or inlined body
         for value in params:
             if not math.isfinite(value):
-                raise self.error(f"{kind} parameter {value!r} is not finite", tok)
+                raise self.error(f"{tok.text} parameter {value!r} is not finite", tok)
         try:
             instr = GateInstruction(self.next_id, kind, qubits, params, clbits)
         except ValueError as exc:

@@ -1,12 +1,14 @@
-"""Helpers for building circuits in tests: a literal builder and a seeded
-random-circuit generator used by the oracle-equivalence and property suites."""
+"""Helpers for building circuits in tests: a literal builder, dense
+renumbering, and a seeded random-circuit generator used by the
+oracle-equivalence and property suites."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from qcover.ir import SPECS, Circuit, GateInstruction, GateKind, Probe
+from qcover.ir import (SPECS, Circuit, GateInstruction, GateKind, Instruction,
+                       Probe)
 
 SWAP_TEST_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -29,6 +31,19 @@ def build(num_qubits: int, num_clbits: int, ops) -> Circuit:
         clbits = tuple(op[3]) if len(op) > 3 else ()
         instructions.append(GateInstruction(i, kind, qubits, params, clbits))
     return Circuit(num_qubits, num_clbits, tuple(instructions))
+
+
+def renumber(instructions: list[Instruction] | tuple[Instruction, ...],
+             start: int = 0) -> tuple[Instruction, ...]:
+    """Reassign instruction ids densely in list order, from `start`."""
+    out: list[Instruction] = []
+    for new_id, instr in enumerate(instructions, start):
+        if isinstance(instr, GateInstruction):
+            out.append(GateInstruction(new_id, instr.kind, instr.qubits,
+                                       instr.params, instr.clbits))
+        else:
+            out.append(Probe(new_id, instr.mode, instr.qubit, instr.label))
+    return tuple(out)
 
 
 def circuits_equal(a: Circuit, b: Circuit, angle_tol: float = 1e-12) -> bool:

@@ -1,17 +1,37 @@
 """Full re-simulation judge, kept as the differential oracle for judge().
 
 This is judge() in cost mode as it was before the original's run was shared
-across calls: the original and the mutant are each simulated from |0...0>
-on every call, and the mutant is simulated even when it times out.  It
-counts cost units with its own copy of judge()'s earlier _cost_units, so
+across calls and before a mutant became an edit record: the mutant's whole
+circuit is rebuilt from its operator, site and detail (never from its `at`,
+`drop` and `insert`), the original and that circuit are each simulated from
+|0...0> on every call, and the mutant is simulated even when it times out.
+It counts cost units with its own copy of judge()'s earlier _cost_units, so
 the oracle shares no code with the gate list it checks.
 """
 from __future__ import annotations
 
-from qcover.ir import Circuit, GateKind
+from corpus_util import renumber
+from qcover.ir import Circuit, GateInstruction, GateKind
 from qcover.mutation import (DEFAULT_TIMEOUT_FACTOR, DEFAULT_TOLERANCE, Mutant,
                              MutantVerdict)
 from qcover.simulator import DEFAULT_QUBIT_LIMIT, fidelity, statevector_of
+
+
+def mutant_circuit(original: Circuit, mutant: Mutant) -> Circuit:
+    """The mutant as a whole circuit: the original with the edit its
+    operator, site and detail name, renumbered densely."""
+    instructions = list(original.instructions)
+    pos = [i.id for i in instructions].index(mutant.site)
+    site = instructions[pos]
+    if mutant.operator == "qgd":
+        body = instructions[:pos] + instructions[pos + 1:]
+    else:
+        kind = GateKind(mutant.detail.split("->")[1] if mutant.operator == "qgr"
+                        else mutant.detail.split()[1])
+        edit = GateInstruction(0, kind, site.qubits, site.params)
+        keep = pos if mutant.operator == "qgr" else pos + 1
+        body = instructions[:keep] + [edit] + instructions[pos + 1:]
+    return Circuit(original.num_qubits, original.num_clbits, renumber(body))
 
 
 def _cost_units(circuit: Circuit) -> float:
@@ -28,8 +48,9 @@ def judge_full(original: Circuit, mutant: Mutant,
     try:
         ref_state = statevector_of(original, qubit_limit=qubit_limit)
         ref_time = _cost_units(original)
-        mut_state = statevector_of(mutant.circuit, qubit_limit=qubit_limit)
-        mut_time = _cost_units(mutant.circuit)
+        circuit = mutant_circuit(original, mutant)
+        mut_state = statevector_of(circuit, qubit_limit=qubit_limit)
+        mut_time = _cost_units(circuit)
     except Exception:
         return MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
 

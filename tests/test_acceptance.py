@@ -185,7 +185,7 @@ def test_criterion_6_mutation_pipeline():
     for index in range(50):
         circuit = random_circuit(rng, num_qubits=int(rng.integers(2, 5)),
                                  num_gates=int(rng.integers(5, 15)))
-        clone = Mutant(index, "qgd", 0, "self", circuit)
+        clone = Mutant(index, "qgd", 0, "self", 0, 0, ())  # the null edit
         verdict = judge(circuit, clone, timing="cost")
         assert verdict.status == "survived", "self-comparison must survive"
         assert verdict.fidelity == pytest.approx(1.0, abs=1e-12)

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus_util import random_circuit
+from corpus_util import random_circuit, renumber
 from qcover import instrument, transpile
 from qcover.cli import main
-from qcover.ir import Circuit, GateInstruction, GateKind, Probe, renumber
+from qcover.ir import Circuit, GateInstruction, GateKind, Probe
 from qcover.qasm import parse_file, serialize
 from qcover.transpiler import provenance_report
 

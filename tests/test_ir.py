@@ -8,10 +8,9 @@ from qcover.ir import (
     GateInstruction,
     GateKind,
     Probe,
-    renumber,
     validate,
 )
-from corpus_util import SWAP_TEST_QASM, build
+from corpus_util import SWAP_TEST_QASM, build, renumber
 from qcover.qasm import parse
 from qcover.transpiler import TranspileError, transpile
 

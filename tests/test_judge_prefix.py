@@ -1,9 +1,11 @@
 """Shared-prefix judging in cost mode against full re-simulation.
 
-judge() reuses one forward run of the original across calls; these tests
-hold its verdicts, fidelities (by == and repr) and states bit for bit to the
-full re-simulation oracle in judge_oracle.py, and check when the shared run
-is kept, rebuilt and freed.
+judge() reuses one forward run of the original across calls and applies
+each mutant's edit at its index; these tests hold its verdicts and
+fidelities (by == and repr) to the full re-simulation oracle in
+judge_oracle.py, hold the states of hand-built edits bit for bit to full
+runs of the edited circuits, and check when the shared run is kept, rebuilt
+and freed.
 """
 import gc
 import sys
@@ -18,10 +20,10 @@ from corpus_util import build, random_circuit
 from judge_oracle import judge_full
 from qcover import mutation
 from qcover.probes import instrument
-from qcover.ir import Circuit, GateKind
+from qcover.ir import GateKind
 from qcover.mutation import Mutant, generate_mutants, judge
 from qcover.qasm import parse_file
-from qcover.simulator import gate_ops, statevector_of
+from qcover.simulator import DEFAULT_QUBIT_LIMIT, fidelity, gate_ops, statevector_of
 from qcover.transpiler import transpile
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -44,8 +46,8 @@ def _assert_matches_oracle(original, mutants, **kwargs):
         assert got == _outcome(judge_full, original, mutant, **kwargs), mutant
 
 
-def _as_mutant(circuit, mutant_id=0):
-    return Mutant(mutant_id, "qgr", 0, "hand-built", circuit)
+def _edit(at, drop, insert):
+    return Mutant(0, "qgr", 0, "hand-built", at, drop, tuple(insert))
 
 
 @pytest.mark.parametrize("timeout_factor",
@@ -56,11 +58,6 @@ def test_corpus_mutants_match_full_resimulation(timeout_factor):
         original = parse_file(str(path))
         mutants = generate_mutants(original)
         _assert_matches_oracle(original, mutants, timeout_factor=timeout_factor)
-        prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
-        for mutant in mutants:
-            ops = gate_ops(mutant.circuit, mutation.DEFAULT_QUBIT_LIMIT)
-            assert (prefix.statevector_of(ops).tobytes()
-                    == statevector_of(mutant.circuit).tobytes()), mutant
 
 
 def test_random_circuit_mutants_match_full_resimulation():
@@ -73,24 +70,6 @@ def test_random_circuit_mutants_match_full_resimulation():
         _assert_matches_oracle(original, mutants, timeout_factor=NO_TIMEOUT)
 
 
-def test_hand_built_mutants_match_full_resimulation():
-    rng = np.random.default_rng(7)
-    original = random_circuit(rng, num_qubits=3, num_gates=12)
-    clone = Circuit(3, 0, original.instructions)
-    unrelated = random_circuit(rng, num_qubits=3, num_gates=12)
-    narrower = random_circuit(rng, num_qubits=2, num_gates=6)
-    wider = random_circuit(rng, num_qubits=4, num_gates=12)
-    for factor in (mutation.DEFAULT_TIMEOUT_FACTOR, NO_TIMEOUT):
-        for candidate in (original, clone, unrelated):
-            _assert_matches_oracle(original, [_as_mutant(candidate)],
-                                   timeout_factor=factor)
-        # a state of another width has no fidelity to the original's
-        for candidate in (narrower, wider):
-            verdict = judge(original, _as_mutant(candidate), timing="cost",
-                            timeout_factor=factor)
-            assert verdict == mutation.MutantVerdict(0, "error", None, 0.0, 0.0)
-
-
 def test_measurements_and_barriers_match_full_resimulation():
     ops = [(GateKind.H, (0,)), (GateKind.CX, (0, 1)),
            (GateKind.BARRIER, (0, 1, 2)),
@@ -99,12 +78,7 @@ def test_measurements_and_barriers_match_full_resimulation():
            (GateKind.CZ, (2, 1)), (GateKind.BARRIER, (1,)),
            (GateKind.MEASURE, (1,), (), (1,)), (GateKind.X, (2,))]
     original = build(3, 2, ops)
-    without_measures = build(3, 2, [op for op in ops
-                                    if op[0] is not GateKind.MEASURE])
-    without_barriers = build(3, 2, [op for op in ops
-                                    if op[0] is not GateKind.BARRIER])
-    hand_built = [_as_mutant(without_measures, 0), _as_mutant(without_barriers, 1)]
-    mutants = generate_mutants(original) + hand_built
+    mutants = generate_mutants(original)
     _assert_matches_oracle(original, mutants)
     _assert_matches_oracle(original, mutants, timeout_factor=NO_TIMEOUT)
 
@@ -114,9 +88,8 @@ def test_probes_and_qubit_limit_give_error_verdicts():
     original = random_circuit(rng, num_qubits=3, num_gates=10)
     probed = instrument(transpile(original))
     mutants = generate_mutants(original, ("qgd",))
-    for orig, mutant in ((probed, mutants[0]), (original, _as_mutant(probed))):
-        assert judge(orig, mutant, timing="cost").status == "error"
-        _assert_matches_oracle(orig, [mutant])
+    assert judge(probed, mutants[0], timing="cost").status == "error"
+    _assert_matches_oracle(probed, [mutants[0]])
     assert judge(original, mutants[0], timing="cost",
                  qubit_limit=2).status == "error"
     _assert_matches_oracle(original, mutants, qubit_limit=2)
@@ -237,61 +210,40 @@ def test_concurrent_judges_match_the_oracle():
         assert results[index] == expected[index % 2::2]
 
 
-def _gates(circuit):
-    return [(i.kind, i.qubits, i.params) for i in circuit.instructions]
-
-
-def test_hand_built_suffix_mutants_match_full_resimulation(monkeypatch):
+def test_hand_built_mutants_match_full_resimulation(monkeypatch):
+    # edits the generator never makes: none at all, several gates, every gate
     rng = np.random.default_rng(15)
     original = random_circuit(rng, num_qubits=3, num_gates=12)
-    ops = _gates(original)
-    head = (GateKind.SX, (2,), ()) if ops[0][0] is not GateKind.SX else (GateKind.H, (2,), ())
-    unrelated = random_circuit(rng, num_qubits=3, num_gates=12)
-    assert _gates(unrelated)[0] != ops[0] and _gates(unrelated)[-1] != ops[-1]
-    narrower = random_circuit(rng, num_qubits=2, num_gates=6)
-    wider = build(4, 0, ops)
-
-    # (mutant, kernels it builds itself); judge() returns error for another
-    # width before it builds any
+    ops = gate_ops(original, DEFAULT_QUBIT_LIMIT)
+    other = gate_ops(random_circuit(rng, num_qubits=3, num_gates=12),
+                     DEFAULT_QUBIT_LIMIT)
     cases = {
-        "suffix only": (build(3, 0, [head] + ops[1:]), 1),
-        # every gate, an id too: it builds a step that does nothing
-        "nothing shared": (unrelated, len(unrelated.instructions)),
-        "equal": (Circuit(3, 0, original.instructions), 0),
-        "longer": (build(3, 0, [head, head] + ops), 2),
-        "shorter": (build(3, 0, ops[4:]), 0),
-        "wider": (wider, None),
-        "narrower": (narrower, None),
+        "null": _edit(5, 0, ()),
+        "null at the end": _edit(12, 0, ()),
+        "insert at the start": _edit(0, 0, other[:1]),
+        "insert two": _edit(4, 0, other[:2]),
+        "append": _edit(12, 0, other[-1:]),
+        "drop the first": _edit(0, 1, ()),
+        "drop the last": _edit(11, 1, ()),
+        "drop two": _edit(3, 2, ()),
+        "replace every gate": _edit(0, 12, other),
     }
-    prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
-    for name, (candidate, own) in cases.items():
-        if candidate.num_qubits != original.num_qubits:
-            # a state of another width has no fidelity to the original's
-            assert judge(original, _as_mutant(candidate), timing="cost",
-                         timeout_factor=NO_TIMEOUT).status == "error"
-            continue
-        _assert_matches_oracle(original, [_as_mutant(candidate)],
-                               timeout_factor=NO_TIMEOUT)
+    reference = statevector_of(original)
+    prefix = mutation._shared_prefix(original, DEFAULT_QUBIT_LIMIT)
+    for name, mutant in cases.items():
+        edited = ops[:mutant.at] + list(mutant.insert) + ops[mutant.at + mutant.drop:]
+        full = statevector_of(build(3, 0, [(kind, qubits, params)
+                                           for kind, params, qubits in edited]))
+        verdict = judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
+        assert repr(verdict.fidelity) == repr(fidelity(reference, full)), name
+        assert verdict.mutant_runtime == float(len(edited) << 3), name
         # the shared run's steps were built before counting began
         counts = _count_cursor_gates(monkeypatch)
-        state = prefix.statevector_of(gate_ops(candidate, mutation.DEFAULT_QUBIT_LIMIT))
+        state = prefix.statevector_of(mutant)
         monkeypatch.undo()
-        assert state.tobytes() == statevector_of(candidate).tobytes(), name
-        assert counts == {"cursor": 0, "other": own}, name
-
-
-def test_overlapping_prefix_and_suffix_match_full_resimulation(monkeypatch):
-    # a gate repeated back to back: deleting or doubling one copy leaves a
-    # prefix and a suffix that would overlap if the suffix were not capped
-    rng = np.random.default_rng(16)
-    ops = _gates(random_circuit(rng, num_qubits=3, num_gates=8))
-    original = build(3, 0, ops[:4] + [ops[3], ops[3]] + ops[4:])
-    mutants = generate_mutants(original, ("qgd", "qgi"))
-    mutants += [_as_mutant(build(3, 0, ops[:4] + [ops[3]] * k + ops[4:]), k)
-                for k in (0, 4)]
-    prefix = mutation._shared_prefix(original, mutation.DEFAULT_QUBIT_LIMIT)
-    for mutant in mutants:
-        _assert_matches_oracle(original, [mutant], timeout_factor=NO_TIMEOUT)
-        ops = gate_ops(mutant.circuit, mutation.DEFAULT_QUBIT_LIMIT)
-        assert (prefix.statevector_of(ops).tobytes()
-                == statevector_of(mutant.circuit).tobytes()), mutant
+        assert state.tobytes() == full.tobytes(), name
+        # the edit builds a kernel for each gate it inserts and no other
+        assert counts == {"cursor": 0, "other": len(mutant.insert)}, name
+    # a gate on a qubit the original does not have cannot be simulated
+    outside = _edit(1, 0, [(GateKind.X, (), (3,))])
+    assert judge(original, outside, timing="cost").status == "error"

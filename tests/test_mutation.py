@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
+from judge_oracle import judge_full, mutant_circuit
 from qcover.coverage import analyze
 from qcover.probes import instrument
-from qcover.ir import Circuit, GateInstruction, GateKind, renumber
+from qcover.ir import Circuit, GateInstruction, GateKind
 from qcover.mutation import (
+    Mutant,
     MutationError,
     SYNTACTIC_CLASSES,
     campaign,
@@ -18,7 +20,7 @@ from qcover.mutation import (
     mutation_score,
 )
 from qcover.qasm import parse, parse_file
-from qcover.simulator import run
+from qcover.simulator import DEFAULT_QUBIT_LIMIT, gate_ops, run
 from qcover.transpiler import transpile
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -31,14 +33,15 @@ def _single_h():
 def test_qgd_single_gate():
     mutants = generate_mutants(_single_h(), ("qgd",))
     assert len(mutants) == 1
-    assert mutants[0].circuit.instructions == ()
+    assert mutant_circuit(_single_h(), mutants[0]).instructions == ()
+    assert (mutants[0].at, mutants[0].drop, mutants[0].insert) == (0, 1, ())
 
 
 def test_qgr_class_size():
     mutants = generate_mutants(_single_h(), ("qgr",))
     # replacement stays inside the 10-kind parameterless single-qubit class
     assert len(mutants) == 9
-    kinds = {m.circuit.instructions[0].kind for m in mutants}
+    kinds = {mutant_circuit(_single_h(), m).instructions[0].kind for m in mutants}
     assert GateKind.H not in kinds
     assert GateKind.X in kinds and GateKind.ID in kinds
 
@@ -47,8 +50,10 @@ def test_qgi_inserts_full_class():
     mutants = generate_mutants(_single_h(), ("qgi",))
     assert len(mutants) == 10
     for m in mutants:
-        assert len(m.circuit.instructions) == 2
-        assert m.circuit.instructions[0].kind is GateKind.H
+        instructions = mutant_circuit(_single_h(), m).instructions
+        assert len(instructions) == 2
+        assert instructions[0].kind is GateKind.H
+        assert (m.at, m.drop) == (1, 0)
 
 
 def test_swap_test_qgd_excludes_measure():
@@ -69,7 +74,8 @@ def test_parameter_preserved_by_replacement():
     mutants = generate_mutants(circuit, ("qgr",))
     assert len(mutants) == 4
     for m in mutants:
-        assert m.circuit.instructions[0].params == (0.7,)
+        assert mutant_circuit(circuit, m).instructions[0].params == (0.7,)
+        assert [params for _, params, _ in m.insert] == [(0.7,)]
 
 
 def test_exactly_one_edit():
@@ -78,7 +84,7 @@ def test_exactly_one_edit():
         circuit = random_circuit(rng, num_qubits=3, num_gates=10)
         originals = list(circuit.instructions)
         for m in generate_mutants(circuit):
-            mutated = list(m.circuit.instructions)
+            mutated = list(mutant_circuit(circuit, m).instructions)
             if m.operator == "qgd":
                 assert len(mutated) == len(originals) - 1
             elif m.operator == "qgi":
@@ -92,22 +98,6 @@ def test_exactly_one_edit():
                 assert len(diffs) == 1
 
 
-def _renumbered(circuit, mutant):
-    """The mutant's circuit as a full renumber() of the edited list."""
-    instructions = list(circuit.instructions)
-    pos = [i.id for i in instructions].index(mutant.site)
-    site = instructions[pos]
-    if mutant.operator == "qgd":
-        body = instructions[:pos] + instructions[pos + 1:]
-    else:
-        kind = GateKind(mutant.detail.split("->")[1] if mutant.operator == "qgr"
-                        else mutant.detail.split()[1])
-        edit = GateInstruction(0, kind, site.qubits, site.params)
-        keep = pos if mutant.operator == "qgr" else pos + 1
-        body = instructions[:keep] + [edit] + instructions[pos + 1:]
-    return Circuit(circuit.num_qubits, circuit.num_clbits, renumber(body))
-
-
 def _with_ids_shifted(circuit):
     return Circuit(circuit.num_qubits, circuit.num_clbits, tuple(
         GateInstruction(i.id + 100, i.kind, i.qubits, i.params, i.clbits)
@@ -115,20 +105,45 @@ def _with_ids_shifted(circuit):
 
 
 def test_mutants_equal_full_renumbering():
+    """Each edit record is the edit its operator, site and detail name, and
+    judging it equals full re-simulation of the rebuilt, renumbered circuit.
+
+    With shifted ids the rebuilt circuits and the gate lists equal those of
+    the unshifted original, so its verdicts must equal the checked ones."""
     circuits = [parse_file(str(path)) for path in sorted(CORPUS.glob("*.qasm"))]
     rng = np.random.default_rng(22)
     circuits += [random_circuit(rng, num_gates=int(rng.integers(3, 13)),
                                with_measure=i % 2 == 1) for i in range(200)]
     for circuit in circuits:
-        # ids equal to positions reuse the unmoved instructions; shifted ids
-        # are renumbered once before any mutant is built
-        for original in (circuit, _with_ids_shifted(circuit)):
-            for mutant in generate_mutants(original):
-                assert mutant.circuit == _renumbered(original, mutant), mutant
-        for mutant in generate_mutants(circuit):
-            pos = mutant.site + (mutant.operator == "qgi")
-            assert all(a is b for a, b in zip(mutant.circuit.instructions[:pos],
-                                              circuit.instructions))
+        shifted = _with_ids_shifted(circuit)
+        ops = gate_ops(circuit, DEFAULT_QUBIT_LIMIT)
+        mutants = generate_mutants(circuit)
+        checked = []
+        for mutant in mutants:
+            rebuilt = mutant_circuit(circuit, mutant)
+            edited = ops[:mutant.at] + list(mutant.insert) + ops[mutant.at + mutant.drop:]
+            assert edited == gate_ops(rebuilt, DEFAULT_QUBIT_LIMIT), mutant
+            got = judge(circuit, mutant, timeout_factor=1e9)
+            want = judge_full(circuit, mutant, timeout_factor=1e9)
+            assert (got, repr(got.fidelity)) == (want, repr(want.fidelity)), mutant
+            checked.append((rebuilt, got, repr(got.fidelity)))
+        # judged after the unshifted ones: judge() shares one original's run
+        for mutant, moved, (rebuilt, *verdict) in zip(
+                mutants, generate_mutants(shifted), checked, strict=True):
+            assert mutant_circuit(shifted, moved) == rebuilt, moved
+            assert (moved.at, moved.drop, moved.insert) == (mutant.at, mutant.drop,
+                                                            mutant.insert)
+            again = judge(shifted, moved, timeout_factor=1e9)
+            assert [again, repr(again.fidelity)] == verdict, moved
+
+
+@pytest.mark.parametrize("at, drop", [(-1, 0), (-1, 1), (0, -1), (3, 1), (4, 0),
+                                      (2, 2)])
+def test_judge_rejects_an_edit_that_does_not_fit(at, drop):
+    circuit = parse(SWAP_TEST_QASM)  # three gates and a measurement
+    mutant = Mutant(0, "qgd", 0, "edit", at, drop, ())
+    with pytest.raises(MutationError, match="gate list of 3"):
+        judge(circuit, mutant)
 
 
 def test_generation_deterministic_and_budget():
@@ -148,8 +163,8 @@ def test_judge_self_is_survived():
     circuit = parse(SWAP_TEST_QASM)
     mutants = generate_mutants(circuit, ("qgd",), seed=0)
     self_mutant = mutants[0]
-    # judge the circuit against an unmodified copy
-    clone = type(self_mutant)(0, "qgd", 0, "identity", circuit)
+    # judge the circuit against the null edit
+    clone = Mutant(0, "qgd", 0, "identity", self_mutant.at, 0, ())
     verdict = judge(circuit, clone, timing="cost")
     assert verdict.status == "survived"
     assert verdict.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -158,7 +173,7 @@ def test_judge_self_is_survived():
 def test_judge_h_to_id_killed():
     original = _single_h()
     (mutant,) = (m for m in generate_mutants(original, ("qgr",))
-                 if m.circuit.instructions[0].kind is GateKind.ID)
+                 if mutant_circuit(original, m).instructions[0].kind is GateKind.ID)
     verdict = judge(original, mutant, timing="cost")
     assert verdict.status == "killed"
     assert verdict.fidelity == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -169,7 +184,7 @@ def test_judge_global_phase_survives():
     original = build(1, 0, [(GateKind.X, (0,))])
     mutants = generate_mutants(original, ("qgi",))
     (z_insert,) = (m for m in mutants
-                   if m.circuit.instructions[1].kind is GateKind.Z)
+                   if mutant_circuit(original, m).instructions[1].kind is GateKind.Z)
     verdict = judge(original, z_insert, timing="cost", timeout_factor=100.0)
     assert verdict.status == "survived"
     assert verdict.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -193,8 +208,12 @@ def test_judge_symmetry():
             continue
         b = b_mutants[0]
         forward = judge(a, b, timing="cost", timeout_factor=1e9)
-        wrapped = type(b)(0, b.operator, b.site, b.detail, a)
-        backward = judge(b.circuit, wrapped, timing="cost", timeout_factor=1e9)
+        # the inverse qgr edit puts a's gate back at b's site
+        old, new = b.detail.split("->")
+        inverse = Mutant(0, "qgr", b.site, f"{new}->{old}", b.at, 1,
+                         (gate_ops(a, DEFAULT_QUBIT_LIMIT)[b.at],))
+        backward = judge(mutant_circuit(a, b), inverse, timing="cost",
+                         timeout_factor=1e9)
         assert forward.status == backward.status
 
 
@@ -264,6 +283,16 @@ def test_campaign_csv_deterministic():
     b = _campaign_for(circuit, "swap_test.qasm", ("qgd", "qgr", "qgi"), seed=3)
     assert a.csv_row() == b.csv_row()
     assert a.csv_row().startswith("swap_test.qasm,3,qgd+qgi+qgr,")
+
+
+def test_campaign_rejects_a_mutant_it_cannot_tally():
+    circuit = parse(SWAP_TEST_QASM)
+    t = transpile(circuit)
+    report = analyze(run(instrument(t)).probes, t, circuit_name="swap_test.qasm")
+    mutants = generate_mutants(circuit)
+    verdicts = [judge(circuit, m) for m in mutants]
+    with pytest.raises(MutationError, match="operator 'qgr'"):
+        campaign(circuit, report, ("qgd",), mutants=mutants, verdicts=verdicts)
 
 
 def test_probed_circuit_rejected():

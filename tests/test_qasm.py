@@ -123,15 +123,18 @@ def test_overflowing_parameter_is_a_diagnostic():
             parse(f'OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n')
 
 
-@pytest.mark.parametrize("call, col", [
-    ("rz(1e400) q[0];", 1),
-    ("rz(1e308*10) q[0];", 1),
-    ("rz(1e400-1e400) q[0];", 1),
-    ("u1(-1e400) q[0];", 1),
-    ("gate g(t) a { rz(t*10) a; }\ng(1e308) q[0];", 15),
-], ids=["inf", "overflow", "nan", "alias", "gate-body"])
-def test_parameter_that_is_not_finite_is_a_diagnostic(call, col):
-    with pytest.raises(QasmError, match="is not finite") as info:
+@pytest.mark.parametrize("call, col, name", [
+    ("rz(1e400) q[0];", 1, "rz"),
+    ("rz(1e308*10) q[0];", 1, "rz"),
+    ("rz(1e400-1e400) q[0];", 1, "rz"),
+    ("u1(-1e400) q[0];", 1, "u1"),
+    ("u2(1e400,0) q[0];", 1, "u2"),
+    ("U(1e400,0,0) q[0];", 1, "U"),
+    ("gate g(t) a { rz(t*10) a; }\ng(1e308) q[0];", 15, "rz"),
+], ids=["inf", "overflow", "nan", "alias", "u2", "U", "gate-body"])
+def test_parameter_that_is_not_finite_is_a_diagnostic(call, col, name):
+    # the diagnostic names the gate as the source wrote it at the call
+    with pytest.raises(QasmError, match=f": {name} parameter .* is not finite") as info:
         parse(f"OPENQASM 2.0;\nqreg q[1];\n{call}\n", filename="f.qasm")
     span = info.value.span
     assert (span.file, span.line, span.col_start) == ("f.qasm", 3, col)

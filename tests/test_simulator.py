@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracle
-from corpus_util import SWAP_TEST_QASM, build, random_circuit
+from corpus_util import SWAP_TEST_QASM, build, random_circuit, renumber
 from qcover.probes import instrument, strip_probes
-from qcover.ir import Circuit, GateInstruction, GateKind, Probe, renumber
+from qcover.ir import Circuit, GateInstruction, GateKind, Probe
 from qcover.qasm import parse, parse_file
 from qcover.simulator import (
     SimulationError,
