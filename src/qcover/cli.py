@@ -67,7 +67,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, metavar="SECONDS",
                         default=argparse.SUPPRESS,
                         help="abort a single circuit past this budget without "
-                             "failing the batch (checked between stages and shots)")
+                             "failing the batch (checked between stages, shots "
+                             "and mutants)")
 
 
 def _operator_list(raw: str) -> tuple[str, ...]:
@@ -127,7 +128,8 @@ class _TimeLimit(Exception):
 
 
 class _Deadline:
-    """Cooperative per-circuit budget, checked between pipeline stages and shots."""
+    """Cooperative per-circuit budget, started before the parse and checked
+    between pipeline stages, shots and mutants."""
 
     def __init__(self, seconds: float | None):
         self.seconds = seconds
@@ -171,8 +173,8 @@ def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
 
 def _cover_one(path: Path, args):
     """Worker for the cover pipeline; returns (report, histogram counts)."""
-    circuit = _load(path)
     deadline = _Deadline(args.time_limit)
+    circuit = _load(path)
     report = _analyze_circuit(circuit, path.name, args, deadline)
     counts = {}
     if args.shots > 0 and not args.quiet:

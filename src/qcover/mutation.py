@@ -32,13 +32,26 @@ probes and too many qubits, builds one kernel step per entry of the list
 both and a cursor: the original's state after some number of the steps.
 Each call moves the cursor to the edit's index `at` (starting again from
 |0...0> when the cursor is already past it), copies it, applies kernels
-for the gates of `insert`, and then replays the original's prebuilt steps
-after the dropped ones.  Every amplitude goes through the same kernels in
-the same order as in two full runs, so states, fidelities and verdicts are
-bit-identical to full re-simulation of the edited circuit.  A mutant that
-times out by cost is not simulated at all.  The price is memory: while the
-original circuit is alive, two extra states of 2^n amplitudes each stay
-held (one original at a time; judging another original frees them).
+for the gates of `insert`, and compares the copy with the cursor
+(np.array_equal).  If they differ, or the edit drops more than one gate,
+it replays the original's prebuilt steps after the dropped ones.  If they
+are equal, the mutant ends where the original without its dropped gates
+ends, and it replays no suffix of its own:
+    drop 0  the original's own final state: fidelity(final, final),
+            computed once per original;
+    drop 1  the original without gate `at`, whose fidelity is stored per
+            site on first use: the copy tries that gate, and only if the
+            gate changes it is the cursor copied back and the suffix after
+            the gate replayed.  Later mutants at the site reuse the value.
+Every replayed amplitude goes through the same kernels in the same order
+as in full runs, kernels and fidelity read amplitudes only by value, and
+the one difference np.array_equal ignores is the sign of an exact zero;
+so fidelities and verdicts are bit-identical to full re-simulation of the
+edited circuit.  A mutant that times out by cost is not simulated at all.
+The price is memory: while the original circuit is alive, two extra
+states of 2^n amplitudes each stay held (one original at a time; judging
+another original frees them), and one working copy per call in progress.
+The shortcut holds no further state, only one float per site.
 
 Measurements and barriers are never mutation sites: deleting a measurement
 cannot change the pre-measurement state this comparison looks at.
@@ -164,8 +177,10 @@ class _SharedPrefix:
     """One forward run of an original circuit, reused by judge().
 
     steps are the kernels of the original's gate list, built once, and cost
-    its cost units; final is its statevector; cursor is its state after the
-    first `position` steps.
+    its cost units; final is its statevector and unchanged is
+    fidelity(final, final); cursor is its state after the first `position`
+    steps; deleted maps a gate index to the fidelity of the original
+    without that gate, once a mutant has needed it.
     """
 
     def __init__(self, original: Circuit, qubit_limit: int):
@@ -178,14 +193,18 @@ class _SharedPrefix:
         self.final = zero_state(self.num_qubits)
         for step in self.steps:
             step(self.final)
+        self.unchanged = fidelity(self.final, self.final)
+        self.deleted: dict[int, float] = {}
         self.cursor = zero_state(self.num_qubits)
         self.position = 0
         self.lock = threading.Lock()
 
-    def statevector_of(self, mutant: Mutant) -> np.ndarray:
-        """statevector_of, bit for bit, of the original with the mutant's
-        edit applied to its gate list, from the shared run."""
-        at = mutant.at
+    def fidelity_of(self, mutant: Mutant) -> float:
+        """fidelity(final, state), bit for bit, where state is the
+        statevector_of the original with the mutant's edit applied to its
+        gate list, from the shared run; an edit that leaves the cursor's
+        state as it was replays no suffix (see the module docstring)."""
+        at, drop = mutant.at, mutant.drop
         with self.lock:
             if not 0 <= self.position <= at:
                 self.cursor = zero_state(self.num_qubits)
@@ -197,11 +216,28 @@ class _SharedPrefix:
                 step(self.cursor)
             self.position = at
             state = self.cursor.copy()
-        for op in mutant.insert:
-            kernel(*op, self.num_qubits)(state)
-        for step in self.steps[at + mutant.drop:]:
+            for op in mutant.insert:
+                kernel(*op, self.num_qubits)(state)
+            fill = False
+            if drop < 2 and np.array_equal(state, self.cursor):
+                if drop == 0:
+                    return self.unchanged
+                if at in self.deleted:
+                    return self.deleted[at]
+                # the mutant is the original without gate `at`
+                self.steps[at](state)
+                if np.array_equal(state, self.cursor):
+                    self.deleted[at] = self.unchanged
+                    return self.unchanged
+                np.copyto(state, self.cursor)
+                fill = True
+        for step in self.steps[at + drop:]:
             step(state)
-        return state
+        fid = fidelity(self.final, state)
+        if fill:
+            with self.lock:
+                self.deleted[at] = fid
+        return fid
 
 
 # The one original whose run is shared.  Replacing it from another thread
@@ -244,8 +280,12 @@ def judge(original: Circuit, mutant: Mutant,
     previous call when `original` is the same object and `qubit_limit` is
     unchanged: the cursor moves to the edit's index, only the inserted
     gates are applied, and the rest replays the original's prebuilt
-    kernels.  This holds two extra states of the original's size for as
-    long as the original circuit lives.  Runtimes are cost units; `timing`
+    kernels.  When the inserted gates leave the state at the edit as it
+    was, nothing is replayed: the fidelity is the original's with itself,
+    or, when the edit drops a gate, that of the original without the gate,
+    computed once per site.  This holds two extra states of the original's
+    size for as long as the original circuit lives, and the shortcut adds
+    none.  Runtimes are cost units; `timing`
     accepts only "cost".  Raises MutationError for a tolerance outside
     [0, 1), a timeout_factor that is not positive, or an edit that does not
     fit the original's gate list.
@@ -268,10 +308,9 @@ def judge(original: Circuit, mutant: Mutant,
     if mut_time > timeout_factor * ref_time:
         return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
     try:
-        mut_state = prefix.statevector_of(mutant)
+        fid = prefix.fidelity_of(mutant)
     except Exception:
         return error
-    fid = fidelity(prefix.final, mut_state)
     status = "survived" if fid >= 1.0 - tolerance else "killed"
     return MutantVerdict(mutant.mutant_id, status, fid, ref_time, mut_time)
 

@@ -227,6 +227,23 @@ def test_time_limit_skips_without_failing(capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cover", "mutate"])
+def test_time_limit_counts_the_parse(command, monkeypatch, capsys):
+    # a parse that takes 10 s of a 5 s budget skips the circuit in both commands
+    clock = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    real_load = cli._load
+
+    def slow_load(path):
+        clock[0] += 10.0
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "_load", slow_load)
+    assert main([command, SWAP, "--time-limit", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 5.0s exceeded)\n"
+
+
 def test_cover_shots_histogram(capsys):
     assert main(["cover", SWAP, "--shots", "64"]) == 0
     out = capsys.readouterr().out

@@ -4,12 +4,14 @@ judge() reuses one forward run of the original across calls and applies
 each mutant's edit at its index; these tests hold its verdicts and
 fidelities (by == and repr) to the full re-simulation oracle in
 judge_oracle.py, hold the states of hand-built edits bit for bit to full
-runs of the edited circuits, and check when the shared run is kept, rebuilt
-and freed.
+runs of the edited circuits, count the steps that edits leaving the state
+unchanged skip, bound the memory judging holds, and check when the shared
+run is kept, rebuilt and freed.
 """
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -210,11 +212,60 @@ def test_concurrent_judges_match_the_oracle():
         assert results[index] == expected[index % 2::2]
 
 
+def _full_run(num_qubits, ops):
+    return statevector_of(build(num_qubits, 0, [(kind, qubits, params)
+                                                for kind, params, qubits in ops]))
+
+
+def _judge_hand_built(monkeypatch, original, cases):
+    """Judges each edit in turn and holds it to a full run of the edited
+    circuit: repr(fidelity), cost, and bit for bit every state judge()
+    replays; it builds kernels for the inserted gates only.  A replayed
+    state stands for the edited circuit or, when the edit drops one gate
+    and leaves the state at its index as it was, for the original without
+    that gate.  Returns, per edit, how many of the original's steps went to
+    a state other than the cursor."""
+    n = original.num_qubits
+    ops = gate_ops(original, DEFAULT_QUBIT_LIMIT)
+    reference = statevector_of(original)
+    counts = _count_cursor_gates(monkeypatch)
+    replayed = []
+    real_fidelity = mutation.fidelity
+    monkeypatch.setattr(mutation, "fidelity",
+                        lambda final, state: replayed.append(state)
+                        or real_fidelity(final, state))
+    mutation._shared_prefix(original, DEFAULT_QUBIT_LIMIT)  # counted steps
+    built = []
+    counting_kernel = mutation.kernel
+    monkeypatch.setattr(mutation, "kernel",
+                        lambda *args: built.append(args) or counting_kernel(*args))
+    applied = {}
+    for name, mutant in cases.items():
+        at, drop, insert = mutant.at, mutant.drop, list(mutant.insert)
+        edited = ops[:at] + insert + ops[at + drop:]
+        full = _full_run(n, edited)
+        before = counts["other"]
+        replayed.clear()
+        built.clear()
+        verdict = judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
+        assert repr(verdict.fidelity) == repr(fidelity(reference, full)), name
+        assert verdict.mutant_runtime == float(len(edited) << n), name
+        # the edit builds a kernel for each gate it inserts and no other
+        assert built == [(*op, n) for op in insert], name
+        applied[name] = counts["other"] - before - len(insert)
+        unchanged = np.array_equal(_full_run(n, ops[:at] + insert),
+                                   _full_run(n, ops[:at]))
+        stands_for = ops[:at] + ops[at + 1:] if unchanged and drop == 1 else edited
+        for state in replayed:
+            assert state.tobytes() == _full_run(n, stands_for).tobytes(), name
+    monkeypatch.undo()
+    return applied
+
+
 def test_hand_built_mutants_match_full_resimulation(monkeypatch):
     # edits the generator never makes: none at all, several gates, every gate
     rng = np.random.default_rng(15)
     original = random_circuit(rng, num_qubits=3, num_gates=12)
-    ops = gate_ops(original, DEFAULT_QUBIT_LIMIT)
     other = gate_ops(random_circuit(rng, num_qubits=3, num_gates=12),
                      DEFAULT_QUBIT_LIMIT)
     cases = {
@@ -228,22 +279,53 @@ def test_hand_built_mutants_match_full_resimulation(monkeypatch):
         "drop two": _edit(3, 2, ()),
         "replace every gate": _edit(0, 12, other),
     }
-    reference = statevector_of(original)
-    prefix = mutation._shared_prefix(original, DEFAULT_QUBIT_LIMIT)
-    for name, mutant in cases.items():
-        edited = ops[:mutant.at] + list(mutant.insert) + ops[mutant.at + mutant.drop:]
-        full = statevector_of(build(3, 0, [(kind, qubits, params)
-                                           for kind, params, qubits in edited]))
-        verdict = judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
-        assert repr(verdict.fidelity) == repr(fidelity(reference, full)), name
-        assert verdict.mutant_runtime == float(len(edited) << 3), name
-        # the shared run's steps were built before counting began
-        counts = _count_cursor_gates(monkeypatch)
-        state = prefix.statevector_of(mutant)
-        monkeypatch.undo()
-        assert state.tobytes() == full.tobytes(), name
-        # the edit builds a kernel for each gate it inserts and no other
-        assert counts == {"cursor": 0, "other": len(mutant.insert)}, name
+    # the original leaves |000> as it is up to gate 10, so most of these
+    # edits leave the state at their index unchanged and replay nothing; a
+    # dropped gate is tried once on the working copy
+    assert _judge_hand_built(monkeypatch, original, cases) == {
+        "null": 0, "null at the end": 0, "insert at the start": 0,
+        "insert two": 12 - 4, "append": 0, "drop the first": 1,
+        "drop the last": 1, "drop two": 12 - 3 - 2, "replace every gate": 0}
     # a gate on a qubit the original does not have cannot be simulated
     outside = _edit(1, 0, [(GateKind.X, (), (3,))])
     assert judge(original, outside, timing="cost").status == "error"
+
+
+def test_edits_that_leave_the_state_unchanged_skip_the_suffix(monkeypatch):
+    original = build(3, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, 1)),
+                            (GateKind.RY, (1,), (0.4,)),
+                            (GateKind.H, (2,)),  # qubit 2 is exactly |0> here
+                            (GateKind.CZ, (2, 0)), (GateKind.RX, (0,), (0.9,)),
+                            (GateKind.CX, (1, 2)), (GateKind.T, (2,))])
+    by_detail = {(m.site, m.detail): m for m in generate_mutants(original)}
+    cases = {
+        "null in the middle": _edit(4, 0, ()),
+        "insert id": _edit(2, 0, [(GateKind.ID, (), (1,))]),
+        "h->z on |0>": by_detail[(3, "h->z")],
+        "delete that h": by_detail[(3, "delete h")],
+        "drop two, z on |0>": _edit(3, 2, [(GateKind.Z, (), (2,))]),
+    }
+    applied = _judge_hand_built(monkeypatch, original, cases)
+    assert applied["null in the middle"] == applied["insert id"] == 0
+    # h->z tries the h it drops once, then replays steps[4:] for the deleted
+    # gate; the qgd at the same site reuses that fidelity
+    assert applied["h->z on |0>"] == 1 + 8 - 4
+    assert applied["delete that h"] == 0
+    # an edit that drops two gates never uses the deleted-gate fidelity
+    assert applied["drop two, z on |0>"] == 8 - 5
+
+
+def test_judging_holds_no_extra_state():
+    # the shared run's final state and cursor, the working copy, and the
+    # tensor kernel's temporaries: about five states of 2^n amplitudes
+    rng = np.random.default_rng(16)
+    original = random_circuit(rng, num_qubits=14, num_gates=30)
+    mutants = generate_mutants(original)
+    tracemalloc.start()
+    try:
+        for mutant in mutants:
+            judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * (16 << 14)

@@ -7,6 +7,7 @@ import pytest
 
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from judge_oracle import judge_full, mutant_circuit
+from qcover import mutation
 from qcover.coverage import analyze
 from qcover.probes import instrument
 from qcover.ir import Circuit, GateInstruction, GateKind
@@ -104,12 +105,42 @@ def _with_ids_shifted(circuit):
         for i in circuit.instructions))
 
 
-def test_mutants_equal_full_renumbering():
+def _count_paths(monkeypatch):
+    """Counts of the ways judge() reaches a fidelity: "unchanged" for an edit
+    that drops nothing and leaves the state at its index as it was,
+    "deleted" for one that drops a gate and does the same (the original
+    without that gate, stored per site), "replay" for a replayed suffix."""
+    paths = dict.fromkeys(("unchanged", "deleted", "replay"), 0)
+    replays = [0]
+    real_fidelity = mutation.fidelity
+    real_fidelity_of = mutation._SharedPrefix.fidelity_of
+
+    def fidelity(final, state):
+        replays[0] += 1
+        return real_fidelity(final, state)
+
+    def fidelity_of(prefix, mutant):
+        stored, before = len(prefix.deleted), replays[0]
+        value = real_fidelity_of(prefix, mutant)
+        if len(prefix.deleted) > stored or (mutant.drop == 1 and replays[0] == before):
+            paths["deleted"] += 1
+        else:
+            paths["unchanged" if replays[0] == before else "replay"] += 1
+        return value
+
+    monkeypatch.setattr(mutation, "fidelity", fidelity)
+    monkeypatch.setattr(mutation._SharedPrefix, "fidelity_of", fidelity_of)
+    return paths
+
+
+def test_mutants_equal_full_renumbering(monkeypatch):
     """Each edit record is the edit its operator, site and detail name, and
-    judging it equals full re-simulation of the rebuilt, renumbered circuit.
+    judging it equals full re-simulation of the rebuilt, renumbered circuit,
+    through each of judge()'s ways to a fidelity.
 
     With shifted ids the rebuilt circuits and the gate lists equal those of
     the unshifted original, so its verdicts must equal the checked ones."""
+    paths = _count_paths(monkeypatch)
     circuits = [parse_file(str(path)) for path in sorted(CORPUS.glob("*.qasm"))]
     rng = np.random.default_rng(22)
     circuits += [random_circuit(rng, num_gates=int(rng.integers(3, 13)),
@@ -135,6 +166,7 @@ def test_mutants_equal_full_renumbering():
                                                             mutant.insert)
             again = judge(shifted, moved, timeout_factor=1e9)
             assert [again, repr(again.fidelity)] == verdict, moved
+    assert all(paths.values()), paths
 
 
 @pytest.mark.parametrize("at, drop", [(-1, 0), (-1, 1), (0, -1), (3, 1), (4, 0),
