@@ -3,20 +3,41 @@ Dense statevector simulator with non-collapsing probes.
 
 State layout is little-endian: amplitude index bit q holds the basis value of
 qubit q.  kernel() binds one gate to its operands and a state width: it
-works out the matrix or scalar factors, the view shapes, the sector indices
-and the axis orders once and returns a step that applies the gate in place
-(barrier and id share one that does nothing; measure has none).  gate_ops()
-is a circuit's gate list, the kernel() arguments of every instruction but
-measurements and barriers; statevector_of() applies it, and the mutation
-judge reads it once per circuit.  Steps apply gates through stride-based
-views:
+works out the matrix or scalar factors, the view shapes, the sector indices,
+the axis orders and the tiles once and returns a step that applies the gate
+in place (barrier and id share one that does nothing; measure has none).
+gate_ops() is a circuit's gate list, the kernel() arguments of every
+instruction but measurements and barriers; statevector_of() applies it, and
+the mutation judge reads it once per circuit.  Steps apply gates through
+stride-based views:
 
-- cx and swap exchange two sectors of a (high, low) qubit pair, and x
-  exchanges the two halves of its qubit, moving data without arithmetic;
-- p, z, s, sdg, t, tdg and rz scale the half (or halves) whose diagonal
-  entry is not 1;
+- the monomial kinds, whose matrix has one nonzero entry per row, each in
+  {1, -1, 1j, -1j} (x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx
+  and rcccx, found from gates.matrix at import), move whole operand sectors
+  around the permutation's cycles, multiplying by the unit where it is not
+  1; a sector that maps to itself is scaled in place;
+- p, s, sdg, t, tdg and rz scale the half whose diagonal entry is not 1
+  (rz both halves);
 - every other one-qubit kind takes a dense 2x2 kernel;
-- every other multi-qubit kind takes a generic tensor kernel (BLAS matmul).
+- every other multi-qubit kind takes a tensor kernel (BLAS matmul) over a
+  view with one axis per operand and one per gap between operands.
+
+The monomial kernel is exact: each amplitude the 2x2 or tensor product made
+for such a kind was one product with a unit plus exact zeros, and the
+kernel makes that product alone (a copy for the unit 1), so at most the
+sign of an exact zero differs.  s, cs and the like stay out:
+exp(i*pi/2) is not exactly 1j.
+
+The dense 2x2 kernel and the monomial cycles make several passes over a
+sector.  When a sector holds more than _BLOCK amplitudes (a one-qubit gate
+on more than 13 qubits), they go tile by tile: each tile of _BLOCK
+amplitudes is copied into contiguous scratch, which stays in the cache for
+all its passes, and the results are copied back.  The dense kernel makes
+the same six numpy calls in the same operand order on a tile as on a whole
+half, so its amplitudes are the same bit for bit; a monomial cycle is exact
+either way.  Scratch is allocated per call, so a step may run on several
+states at once (the mutation judge replays steps outside its lock), and a
+tiled step allocates a few tiles, not a half-state temporary.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -32,13 +53,14 @@ measurement.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gates
-from .ir import Circuit, GateInstruction, GateKind, Instruction, Probe
+from .ir import SPECS, Circuit, GateInstruction, GateKind, Instruction, Probe
 
 DEFAULT_QUBIT_LIMIT = 26
 
@@ -75,9 +97,14 @@ def marginal(state: np.ndarray, qubit: int) -> tuple[float, float]:
     return probs[0], probs[1]
 
 
-# one-qubit kinds with a diagonal matrix: each half is scaled, never mixed
-_DIAGONAL = frozenset((GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
-                       GateKind.TDG, GateKind.RZ))
+# amplitudes per sector tile: a multi-pass kernel on a larger sector stages
+# one tile at a time through contiguous scratch, so its passes hit the cache
+_BLOCK = 1 << 12
+
+# one-qubit kinds with a diagonal matrix other than z (a monomial kind): each
+# half is scaled, never mixed
+_DIAGONAL = frozenset((GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
+                       GateKind.RZ))
 
 Step = Callable[[np.ndarray], None]
 
@@ -85,8 +112,80 @@ Step = Callable[[np.ndarray], None]
 _HALF = ((slice(None), 0, slice(None)), (slice(None), 1, slice(None)))
 
 
+Cycles = tuple[tuple[tuple[int, ...], tuple[complex, ...]], ...]
+
+
+def _cycles(mat: np.ndarray) -> Cycles | None:
+    """The cycles (rows, units) of a matrix with one nonzero entry per row,
+    each in {1, -1, 1j, -1j}: rows[j] takes units[j] (its entry) times the
+    amplitude of rows[j + 1], the last row that of rows[0].  A row that
+    maps to itself with entry 1 is left out.  None for any other matrix."""
+    nonzero = mat != 0
+    if (nonzero.sum(axis=1) != 1).any():
+        return None
+    cols = nonzero.argmax(axis=1).tolist()
+    entries = mat[np.arange(len(cols)), cols].tolist()
+    if any(entry not in (1, -1, 1j, -1j) for entry in entries):
+        return None
+    cycles, seen = [], set()
+    for start in range(len(cols)):
+        if start in seen:
+            continue
+        rows, row = [], start
+        while row not in seen:
+            seen.add(row)
+            rows.append(row)
+            row = cols[row]
+        units = tuple(entries[row] for row in rows)
+        if len(rows) > 1 or units[0] != 1:
+            cycles.append((tuple(rows), units))
+    return tuple(cycles)
+
+
+def _sector_cycles(cycles: Cycles, axes: tuple[int, ...]) -> tuple:
+    """cycles as (first sector index, the others' indices, units) into an
+    operand view (see _operand_view) whose operands have these axes, None
+    standing for the unit 1."""
+    every = [slice(None)] * (2 * len(axes) + 1)
+
+    def sector(row: int) -> tuple:
+        for i, axis in enumerate(axes):
+            every[axis] = (row >> i) & 1
+        return tuple(every)
+
+    return tuple((sector(rows[0]), tuple(sector(row) for row in rows[1:]),
+                  tuple(None if unit == 1 else unit for unit in units))
+                 for rows, units in cycles)
+
+
+def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
+    """The kinds whose matrix has one nonzero entry per row, each in {1, -1,
+    1j, -1j}, each with its _sector_cycles for every order of operand axes."""
+    kinds = {}
+    for kind, spec in SPECS.items():
+        if spec.num_params or kind in (GateKind.ID, GateKind.MEASURE,
+                                       GateKind.BARRIER):
+            continue
+        cycles = _cycles(gates.matrix(kind))
+        if cycles is not None:
+            orders = itertools.permutations(range(1, 2 * spec.num_qubits, 2))
+            kinds[kind] = {axes: _sector_cycles(cycles, axes) for axes in orders}
+    return kinds
+
+
+# x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx and rcccx.  s and its
+# relatives stay out: exp(i*pi/2) is not exactly 1j.  run() builds a step
+# for every gate it applies, and on a small state working out the sector
+# indices costs about as much as applying a cx, so it is done here, once.
+_MONOMIAL = _monomial_kinds()
+
+
 # kernel() arguments of one gate: kind, params, qubits
 Op = tuple[GateKind, tuple[float, ...], tuple[int, ...]]
+
+
+# a tuple, not a set: `in` finds a member by identity, without hashing
+_NO_OP = (GateKind.BARRIER, GateKind.ID)
 
 
 def _no_op(state: np.ndarray) -> None:
@@ -98,27 +197,24 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
     """One gate bound to its operands: a step that applies it in place to
     any state of num_qubits qubits (barrier and id do nothing).
 
-    The matrix or scalar factors, view shapes, sector indices and axis
-    orders are worked out here, once, so replaying a step costs only its
+    The matrix or scalar factors, view shapes, sector indices, axis orders
+    and tiles are worked out here, once, so replaying a step costs only its
     numpy calls.  Raises SimulationError for a measurement.
     """
-    if kind in (GateKind.BARRIER, GateKind.ID):
+    if kind is GateKind.P:
+        return _phase(qubits[0], np.exp(1j * params[0]))
+    if kind in _NO_OP:
         return _no_op
     if kind is GateKind.MEASURE:
         raise SimulationError("apply_gate cannot process measurements")
-    if kind is GateKind.CX:
-        return _swap_sectors(qubits[0], qubits[1], (1, 0), (1, 1))
-    if kind is GateKind.SWAP:
-        return _swap_sectors(qubits[0], qubits[1], (1, 0), (0, 1))
-    if kind is GateKind.X:
-        return _flip(qubits[0])
-    if kind is GateKind.P:
-        return _phase(qubits[0], np.exp(1j * params[0]))
+    plans = _MONOMIAL.get(kind)
+    if plans is not None:
+        return _monomial(plans, qubits, num_qubits)
     mat = gates.matrix(kind, params)
     if kind in _DIAGONAL:
         return _diagonal(mat, qubits[0])
     if len(qubits) == 1:
-        return _dense_1q(mat, qubits[0])
+        return _dense_1q(mat, qubits[0], num_qubits)
     return _dense_kq(mat, qubits, num_qubits)
 
 
@@ -128,15 +224,81 @@ def apply_gate(state: np.ndarray, kind: GateKind,
     kernel(kind, params, qubits, state.size.bit_length() - 1)(state)
 
 
-def _flip(qubit: int) -> Step:
-    shape = (-1, 2, 1 << qubit)
-    lo_half, hi_half = _HALF
+def _tiles(shape: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple]]:
+    """Cover an array of this shape (powers of two, more than _BLOCK
+    elements in all) in C order with tiles of _BLOCK elements.
+
+    A tile fixes the leading axes, takes a run of one axis and all of the
+    axes after it.  Returns the tiles' shape and their index tuples.
+    """
+    inner, axis = 1, len(shape)
+    while inner * shape[axis - 1] <= _BLOCK:
+        axis -= 1
+        inner *= shape[axis]
+    run = _BLOCK // inner
+    lead = itertools.product(*(range(size) for size in shape[:axis - 1]))
+    tiles = [index + (slice(start, start + run),)
+             for index in lead for start in range(0, shape[axis - 1], run)]
+    return (run,) + shape[axis:], tiles
+
+
+def _operand_view(qubits: tuple[int, ...],
+                  n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (high, 2, gap, 2, ..., 2, low) shape of an n-qubit state that
+    gives each operand an axis of its own, and each operand's axis."""
+    top = sorted(qubits, reverse=True)
+    shape, above = [], n
+    for qubit in top:
+        shape.append(1 << (above - qubit - 1))
+        shape.append(2)
+        above = qubit
+    shape.append(1 << above)
+    return tuple(shape), tuple([2 * top.index(qubit) + 1 for qubit in qubits])
+
+
+def _monomial(plans: dict[tuple[int, ...], tuple], qubits: tuple[int, ...],
+              n: int) -> Step:
+    """A monomial kind's cycles (plans: its _MONOMIAL entry) on the operand
+    sectors: sector j of a cycle takes units[j] times sector j + 1, the last
+    sector the first's.  A sector that maps to itself is scaled in place in
+    one pass, as _diagonal does; staging it through tiles is slower."""
+    shape, axes = _operand_view(qubits, n)
+    cycles = plans[axes]
+    tiles = None
+    if 1 << (n - len(qubits)) > _BLOCK:
+        tile_shape, tiles = _tiles(tuple(size for axis, size in enumerate(shape)
+                                         if axis not in axes))
 
     def step(state: np.ndarray) -> None:
         view = state.reshape(shape)
-        lo = view[lo_half].copy()
-        view[lo_half] = view[hi_half]
-        view[hi_half] = lo
+        for first, rest, units in cycles:
+            dst = view[first]
+            if not rest:
+                np.multiply(units[0], dst, out=dst)
+            elif tiles is None:
+                # the first sector, saved before it is overwritten
+                kept = dst.copy()
+                for index, unit in zip(rest + (None,), units):
+                    src = kept if index is None else view[index]
+                    if unit is None:
+                        dst[...] = src
+                    else:
+                        np.multiply(unit, src, out=dst)
+                    dst = src
+            else:
+                # each tile of the cycle's sectors is copied out whole, scaled
+                # in the scratch and copied back one sector on
+                parts = [dst] + [view[index] for index in rest]
+                staged = [np.empty(tile_shape, complex) for _ in parts]
+                for tile in tiles:
+                    blocks = [part[tile] for part in parts]
+                    for block, buf in zip(blocks, staged):
+                        np.copyto(buf, block)
+                    for j, unit in enumerate(units):
+                        buf = staged[(j + 1) % len(units)]
+                        if unit is not None:
+                            np.multiply(unit, buf, out=buf)
+                        np.copyto(blocks[j], buf)
     return step
 
 
@@ -164,62 +326,62 @@ def _diagonal(mat: np.ndarray, qubit: int) -> Step:
     return step
 
 
-def _dense_1q(mat: np.ndarray, qubit: int) -> Step:
+def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
     shape = (-1, 2, 1 << qubit)
     lo_half, hi_half = _HALF
     m00, m01, m10, m11 = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
+    if 1 << (n - 1) <= _BLOCK:
+        def step(state: np.ndarray) -> None:
+            view = state.reshape(shape)
+            lo = view[lo_half]
+            hi = view[hi_half]
+            # mat[i, j] * half in that operand order, into two half-size buffers
+            new_lo = np.multiply(m00, lo)
+            buf = np.multiply(m01, hi)
+            np.add(new_lo, buf, out=new_lo)
+            np.multiply(m10, lo, out=buf)
+            np.multiply(m11, hi, out=hi)
+            np.add(buf, hi, out=hi)
+            lo[...] = new_lo
+        return step
 
-    def step(state: np.ndarray) -> None:
+    tile_shape, tiles = _tiles((1 << (n - 1 - qubit), 1 << qubit))
+
+    def tiled(state: np.ndarray) -> None:
         view = state.reshape(shape)
-        lo = view[lo_half]
-        hi = view[hi_half]
-        # mat[i, j] * half in that operand order, into two half-size buffers
-        new_lo = np.multiply(m00, lo)
-        buf = np.multiply(m01, hi)
-        np.add(new_lo, buf, out=new_lo)
-        np.multiply(m10, lo, out=buf)
-        np.multiply(m11, hi, out=hi)
-        np.add(buf, hi, out=hi)
-        lo[...] = new_lo
-    return step
-
-
-def _swap_sectors(qa: int, qb: int, first: tuple[int, int],
-                  second: tuple[int, int]) -> Step:
-    """Exchange the amplitudes where (qa, qb) read `first` with those reading `second`."""
-    if qa < qb:
-        qa, qb = qb, qa
-        first, second = first[::-1], second[::-1]
-    shape = (-1, 2, 1 << (qa - qb - 1), 2, 1 << qb)
-    every = slice(None)
-    index_a = (every, first[0], every, first[1], every)
-    index_b = (every, second[0], every, second[1], every)
-
-    def step(state: np.ndarray) -> None:
-        view = state.reshape(shape)
-        a = view[index_a]
-        b = view[index_b]
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-    return step
+        lo_all, hi_all = view[lo_half], view[hi_half]
+        lo, hi, new_lo, buf = (np.empty(tile_shape, complex) for _ in range(4))
+        # the same six calls on contiguous copies of one tile of each half
+        for tile in tiles:
+            np.copyto(lo, lo_all[tile])
+            np.copyto(hi, hi_all[tile])
+            np.multiply(m00, lo, out=new_lo)
+            np.multiply(m01, hi, out=buf)
+            np.add(new_lo, buf, out=new_lo)
+            np.multiply(m10, lo, out=buf)
+            np.multiply(m11, hi, out=hi)
+            np.add(buf, hi, out=hi)
+            np.copyto(lo_all[tile], new_lo)
+            np.copyto(hi_all[tile], hi)
+    return tiled
 
 
 def _dense_kq(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> Step:
-    k = len(qubits)
-    tensor = (2,) * n
-    flat = (1 << k, -1)
-    # operand i lives on tensor axis n-1-qubits[i]; bring the operand axes to
-    # the front most-significant-first, so the flattened index is
-    # little-endian in i, and put them back with the inverse order
-    front = [n - 1 - qubits[i] for i in reversed(range(k))]
-    order = front + [axis for axis in range(n) if axis not in front]
-    inverse = [order.index(axis) for axis in range(n)]
+    shape, axes = _operand_view(qubits, n)
+    flat = (1 << len(qubits), -1)
+    # bring the operand axes to the front most-significant-first, so the
+    # flattened index is little-endian in the operands, and put them back
+    # with the inverse order; the other axes keep their order, so the
+    # flattened operand is the same as over a (2,) * n view
+    front = list(axes[::-1])
+    order = front + [axis for axis in range(len(shape)) if axis not in front]
+    inverse = [order.index(axis) for axis in range(len(shape))]
+    moved = tuple(shape[axis] for axis in order)
 
     def step(state: np.ndarray) -> None:
-        psi = state.reshape(tensor)
+        psi = state.reshape(shape)
         result = mat @ psi.transpose(order).reshape(flat)
-        np.copyto(psi, result.reshape(tensor).transpose(inverse))
+        np.copyto(psi, result.reshape(moved).transpose(inverse))
     return step
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from corpus_util import build, random_circuit
 from judge_oracle import judge_full
-from qcover import mutation
+from qcover import mutation, simulator
 from qcover.probes import instrument
 from qcover.ir import GateKind
 from qcover.mutation import Mutant, generate_mutants, judge
@@ -210,6 +210,13 @@ def test_concurrent_judges_match_the_oracle():
         sys.setswitchinterval(interval)
     for index in range(4):
         assert results[index] == expected[index % 2::2]
+
+
+def test_concurrent_judges_match_the_oracle_on_tiled_states(monkeypatch):
+    # two amplitudes a tile, so a one- or two-qubit gate on these 4-qubit
+    # states goes tile by tile: each replay must stage through its own scratch
+    monkeypatch.setattr(simulator, "_BLOCK", 2)
+    test_concurrent_judges_match_the_oracle()
 
 
 def _full_run(num_qubits, ops):

@@ -1,6 +1,7 @@
 """Simulator kernels and the probe loop against their earlier versions in
 kernel_oracle: the same amplitudes, probe logs and measurements."""
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,53 @@ def test_kernel_matches_oracle_on_every_operand_tuple(kind):
             assert got.tobytes() == wrapped.tobytes(), (kind, qubits)
             if kind is GateKind.ID:
                 assert got.tobytes() == state.tobytes(), qubits
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_tiled_kernel_matches_oracle_on_every_operand_tuple(kind, monkeypatch):
+    # eight amplitudes a tile: every sector of an 8-qubit state spans 2 to 16
+    # tiles.  Not one: numpy can round an in-place product of a one-element
+    # array differently from its vector loop.
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
+    test_kernel_matches_oracle_on_every_operand_tuple(kind)
+
+
+def test_wide_circuit_with_the_default_tiles_matches_oracle():
+    circuit = random_circuit(np.random.default_rng(15), num_qubits=15, num_gates=300)
+    assert {i.kind for i in circuit.instructions} == set(KINDS)
+    want = kernel_oracle.run(circuit).state
+    assert np.array_equal(simulator.statevector_of(circuit), want)
+
+
+def test_monomial_kinds_are_the_unit_permutations():
+    assert set(simulator._MONOMIAL) == {
+        GateKind.X, GateKind.Y, GateKind.Z, GateKind.SWAP, GateKind.CX,
+        GateKind.CY, GateKind.CZ, GateKind.CCX, GateKind.CCZ, GateKind.CSWAP,
+        GateKind.DCX, GateKind.RCCX, GateKind.RCCCX}
+    # a phase of exp(i*pi/2) or a 1/sqrt(2) entry is no unit: not exact
+    for kind in (GateKind.S, GateKind.SDG, GateKind.T, GateKind.CS,
+                 GateKind.CSDG, GateKind.ECR):
+        assert kind not in simulator._MONOMIAL, kind
+
+
+@pytest.mark.parametrize("kind, qubits, params, tiles", [
+    (GateKind.U, (5,), (0.3, -1.2, 2.0), 4),
+    (GateKind.CX, (3, 11), (), 2),
+], ids=["u", "cx"])
+def test_tiled_step_allocates_only_its_tiles(kind, qubits, params, tiles):
+    # a 16-qubit half-state is 8 tiles, so a half-state temporary fails this
+    n = 16
+    step = simulator.kernel(kind, params, qubits, n)
+    state = simulator.zero_state(n)
+    tracemalloc.start()
+    try:
+        step(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tile_bytes = simulator._BLOCK * state.itemsize
+    # 4 KiB for the views and lists of one call
+    assert peak <= tiles * tile_bytes + 4096, peak
 
 
 def test_kernel_of_barrier_and_measure():
