@@ -15,7 +15,8 @@ deterministic cost units, so identical inputs and flags give identical
 outputs.  `cover` and `mutate` share one batch loop: each input file is one
 job (in a process pool with --jobs above 1), results print in input order, a
 failed file prints one error line, and a circuit aborted by the time limit
-is skipped with a warning and does not fail the batch.
+(checked between stages and mutants) is skipped with a warning and does not
+fail the batch.
 """
 from __future__ import annotations
 
@@ -67,8 +68,8 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, metavar="SECONDS",
                         default=argparse.SUPPRESS,
                         help="abort a single circuit past this budget without "
-                             "failing the batch (checked between stages, shots "
-                             "and mutants)")
+                             "failing the batch (checked between stages and "
+                             "mutants)")
 
 
 def _operator_list(raw: str) -> tuple[str, ...]:
@@ -95,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     cover.add_argument("--summary", action="store_true",
                        help="aggregate min/max/median/avg over all circuits")
     cover.add_argument("--json", metavar="DIR", help="write one JSON report per circuit")
-    cover.add_argument("--shots", type=int, default=0,
-                       help="also sample a measurement histogram with this many shots")
 
     mutate = sub.add_parser("mutate", help="run a mutation campaign")
     _common_flags(mutate)
@@ -129,7 +128,7 @@ class _TimeLimit(Exception):
 
 class _Deadline:
     """Cooperative per-circuit budget, started before the parse and checked
-    between pipeline stages, shots and mutants."""
+    between stages and mutants."""
 
     def __init__(self, seconds: float | None):
         self.seconds = seconds
@@ -171,17 +170,10 @@ def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
                             circuit_name=name)
 
 
-def _cover_one(path: Path, args):
-    """Worker for the cover pipeline; returns (report, histogram counts)."""
-    deadline = _Deadline(args.time_limit)
-    circuit = _load(path)
-    report = _analyze_circuit(circuit, path.name, args, deadline)
-    counts = {}
-    if args.shots > 0 and not args.quiet:
-        counts = simulator.sample_counts(circuit, args.shots, seed=args.seed,
-                                         qubit_limit=args.qubit_limit,
-                                         check=deadline.check)
-    return report, counts
+def _cover_one(path: Path, args) -> coverage.CoverageReport:
+    """Worker for the cover pipeline."""
+    deadline = _Deadline(args.time_limit)  # started before the parse
+    return _analyze_circuit(_load(path), path.name, args, deadline)
 
 
 def _attempt(call) -> tuple[object, Exception | None]:
@@ -194,16 +186,17 @@ def _attempt(call) -> tuple[object, Exception | None]:
 def _run_batch(paths: list[Path], args, worker, show) -> int:
     """Run worker(path, args) over the input paths and show each result.
 
-    With --jobs above 1 the inputs run in a process pool; either way the
-    results are shown in input order, after every input has run.  A failed
-    input prints one error line and makes the exit code 1; one past the
-    time limit prints a skip line and does not.
+    With --jobs above 1 the inputs run in a process pool of at most one
+    worker per input; either way the results are shown in input order,
+    after every input has run.  A failed input prints one error line and
+    makes the exit code 1; one past the time limit prints a skip line and
+    does not.
     """
     if not paths:
         print("qcover: no input files", file=sys.stderr)
         return 1
     if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             futures = [pool.submit(worker, path, args) for path in paths]
             outcomes = [_attempt(future.result) for future in futures]
     else:
@@ -271,15 +264,10 @@ def cmd_cover(args) -> int:
             seen[path.stem] = path
     reports = []
 
-    def show(path: Path, outcome) -> None:
-        report, counts = outcome
+    def show(path: Path, report: coverage.CoverageReport) -> None:
         reports.append(report)
-        if args.quiet:
-            return
-        _print_report(report)
-        if counts:
-            print(f"  histogram ({args.shots} shots): " +
-                  " ".join(f"{k}:{v}" for k, v in counts.items()))
+        if not args.quiet:
+            _print_report(report)
 
     code = _run_batch(paths, args, _cover_one, show)
     if reports and args.summary and not args.quiet:
@@ -389,8 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     # a zero budget is allowed: it skips every circuit at its first check
     if args.time_limit is not None and not args.time_limit >= 0:
         parser.error("--time-limit must not be negative")
-    if not getattr(args, "shots", 0) >= 0:
-        parser.error("--shots must not be negative")
     if getattr(args, "budget", None) is not None and args.budget < 0:
         parser.error("--budget must not be negative")
     if not 0 <= getattr(args, "tolerance", 0.0) < 1:

@@ -47,9 +47,7 @@ amplitudes as the plain 2x2 and tensor products they replace
 may differ), so no output depends on which path a gate took.
 
 A run is single-shot: probe values come from the simulated state itself, so
-repeated sampling adds nothing to coverage.  sample_counts() exists for
-measurement histograms only; its shots share the state before the first
-measurement.
+repeated sampling adds nothing to coverage.
 """
 from __future__ import annotations
 
@@ -60,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .ir import SPECS, Circuit, GateInstruction, GateKind, Instruction, Probe
+from .ir import SPECS, Circuit, GateKind, Probe
 
 DEFAULT_QUBIT_LIMIT = 26
 
@@ -416,13 +414,22 @@ def _check_norm(state: np.ndarray) -> None:
         raise SimulationError("statevector norm drifted beyond 1e-10")
 
 
-def _execute(instructions: tuple[Instruction, ...], state: np.ndarray,
-             rng: np.random.Generator | None, log: ProbeLog,
-             measurements: dict[int, int]) -> None:
-    """Run instructions on state in place, adding to log and measurements."""
+def run(circuit: Circuit, initial: np.ndarray | None = None, *,
+        seed: int = 0, qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> RunResult:
+    """Execute a circuit in one pass, recording probe values and measurements.
+
+    Probes never modify the state; stripping them from the circuit yields a
+    bitwise-identical final statevector.
+    """
+    n = circuit.num_qubits
+    _check_width(n, qubit_limit)
+    state = zero_state(n) if initial is None else _check_initial(initial, n)
+    rng = np.random.default_rng(seed)
+    log: ProbeLog = {}
+    measurements: dict[int, int] = {}
     # marginals read since the last non-probe instruction, by qubit
     reads: dict[int, tuple[float, float]] = {}
-    for instr in instructions:
+    for instr in circuit.instructions:
         if isinstance(instr, Probe):
             if instr.label in log:
                 raise SimulationError(f"duplicate probe label {instr.label!r}")
@@ -436,22 +443,6 @@ def _execute(instructions: tuple[Instruction, ...], state: np.ndarray,
             measurements[instr.clbits[0]] = _measure(state, instr.qubits[0], rng)
             continue
         apply_gate(state, instr.kind, instr.params, instr.qubits)
-
-
-def run(circuit: Circuit, initial: np.ndarray | None = None, *,
-        seed: int = 0, qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> RunResult:
-    """Execute a circuit in one pass, recording probe values and measurements.
-
-    Probes never modify the state; stripping them from the circuit yields a
-    bitwise-identical final statevector.
-    """
-    n = circuit.num_qubits
-    _check_width(n, qubit_limit)
-    state = zero_state(n) if initial is None else _check_initial(initial, n)
-    log: ProbeLog = {}
-    measurements: dict[int, int] = {}
-    _execute(circuit.instructions, state, np.random.default_rng(seed), log,
-             measurements)
     _check_norm(state)
     return RunResult(state, log, measurements)
 
@@ -490,44 +481,3 @@ def statevector_of(circuit: Circuit, *,
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|: equals 1.0 iff the states are equal up to global phase."""
     return float(abs(np.vdot(a, b)))
-
-
-def sample_counts(circuit: Circuit, shots: int, *, seed: int = 0,
-                  qubit_limit: int = DEFAULT_QUBIT_LIMIT,
-                  check: Callable[[], None] | None = None) -> dict[str, int]:
-    """Measurement histogram over repeated seeded runs (clbit 0 rightmost).
-
-    Shot i equals run(circuit, seed=seed + i).  Nothing draws from the
-    generator before the first measurement, so the instructions before it
-    are simulated once, on the first shot, and every shot continues from a
-    copy of that pre-measurement state (and its probe log).  `check`, when
-    given, is called before every shot; an exception from it stops the
-    sampling.
-    """
-    if not circuit.num_clbits:
-        return {}
-    instructions = circuit.instructions
-    first = next((pos for pos, instr in enumerate(instructions)
-                  if isinstance(instr, GateInstruction)
-                  and instr.kind is GateKind.MEASURE), len(instructions))
-    counts: dict[str, int] = {}
-    head: RunResult | None = None
-    for shot in range(shots):
-        if check is not None:
-            check()
-        if head is None:
-            _check_width(circuit.num_qubits, qubit_limit)
-            head = RunResult(zero_state(circuit.num_qubits), {})
-            _execute(instructions[:first], head.state, None, head.probes,
-                     head.measurements)
-        state, log = head.state.copy(), dict(head.probes)
-        measurements: dict[int, int] = {}
-        _execute(instructions[first:], state, np.random.default_rng(seed + shot),
-                 log, measurements)
-        _check_norm(state)
-        bits = ["0"] * circuit.num_clbits
-        for clbit, value in measurements.items():
-            bits[circuit.num_clbits - 1 - clbit] = str(value)
-        key = "".join(bits)
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))

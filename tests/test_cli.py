@@ -1,16 +1,15 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
-import hashlib
-import itertools
 import json
 import os
 import subprocess
 import sys
 import types
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
-from qcover import cli, mutation, simulator
+from qcover import cli, mutation
 from qcover.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +89,39 @@ def test_cover_jobs_parallel(capsys):
     assert main(["cover", str(CORPUS), "--jobs", "1", "--summary"]) == 0
     serial = capsys.readouterr().out
     assert parallel == serial
+
+
+def test_jobs_pool_is_capped_at_the_inputs(monkeypatch, capsys):
+    # a pool forks all its workers at the first submit: two inputs need two
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each call at once in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    inputs = [SWAP, str(CORPUS / "bell_pair.qasm")]
+    assert main(["cover", *inputs, "--jobs", "64"]) == 0
+    pooled = capsys.readouterr().out
+    assert sizes == [2]
+    assert main(["cover", *inputs]) == 0
+    assert capsys.readouterr().out == pooled
 
 
 def test_mutate_swap_test_qgd(capsys):
@@ -174,13 +206,12 @@ def test_global_flag_either_side_of_subcommand(argv, capsys):
     ["mutate", SWAP, "--operators", "qgd", "--tolerance", "-1"],
     ["mutate", SWAP, "--operators", "qgd", "--tolerance", "1"],
     ["mutate", SWAP, "--timeout-factor", "-1"],
-    ["cover", SWAP, "--shots", "-5"],
     ["--qubit-limit", "-3", "cover", SWAP],
     ["cover", SWAP, "--time-limit", "-1"],
     # rejected before any worker starts: no pool is created for jobs=0
     ["--jobs", "0", "cover", SWAP, SWAP],
 ], ids=["budget", "epsilon", "tolerance", "tolerance-one", "timeout-factor",
-        "shots", "qubit-limit", "time-limit", "jobs"])
+        "qubit-limit", "time-limit", "jobs"])
 def test_bad_flag_value_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -244,54 +275,20 @@ def test_time_limit_counts_the_parse(command, monkeypatch, capsys):
     assert captured.err == f"qcover: {SWAP}: skipped (time limit of 5.0s exceeded)\n"
 
 
-def test_cover_shots_histogram(capsys):
-    assert main(["cover", SWAP, "--shots", "64"]) == 0
-    out = capsys.readouterr().out
-    assert "histogram (64 shots)" in out
-    assert "0:64" in out  # equal swap-test inputs always measure 0
-
-
-# sha256 of exit code, stdout and stderr of `cover corpus --shots 64`
-SHOTS_DIGEST = "9a76128b83fd130db98c1de964e313740ae298ba1b771bb6fc88618130ac4e6c"
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_cover_shots_corpus_output_is_frozen(jobs, capsys):
-    code = main(["cover", str(CORPUS), "--shots", "64", "--jobs", jobs])
-    captured = capsys.readouterr()
-    text = "\v".join((str(code), captured.out, captured.err))
-    assert hashlib.sha256(text.encode()).hexdigest() == SHOTS_DIGEST
-
-
-def test_time_limit_stops_shot_sampling(monkeypatch, capsys):
-    # a clock that ticks one second per reading: the deadline's start and its
-    # four stage checks take readings 0-4, so with a 6.5 s budget the checks
-    # before shots 0 and 1 pass and the one before shot 2 expires
-    ticks = itertools.count()
-    monkeypatch.setattr(cli, "time",
-                        types.SimpleNamespace(perf_counter=lambda: float(next(ticks))))
-    measured = []
-    real_measure = simulator._measure
-
-    def counting_measure(*args):
-        measured.append(args[1])
-        return real_measure(*args)
-
-    monkeypatch.setattr(simulator, "_measure", counting_measure)
-    assert main(["cover", SWAP, "--shots", "64", "--time-limit", "6.5"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 6.5s exceeded)\n"
-    # the probed run's measurement of q[0], then one for each of shots 0 and 1
-    assert measured == [0, 0, 0]
-
-
 def test_timing_flag_is_gone(capsys):
     # mutants time out by cost units only
     with pytest.raises(SystemExit) as excinfo:
         main(["mutate", SWAP, "--timing", "cost"])
     assert excinfo.value.code == 2
     assert "--timing" in capsys.readouterr().err
+
+
+def test_shots_flag_is_gone(capsys):
+    # coverage needs one probed run; measurement histograms are not sampled
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cover", SWAP, "--shots", "64"])
+    assert excinfo.value.code == 2
+    assert "--shots" in capsys.readouterr().err
 
 
 def test_json_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):

@@ -1,28 +1,24 @@
 """Statevector engine: kernels, probes, measurement, oracle parity."""
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
-from corpus_util import SWAP_TEST_QASM, build, random_circuit, renumber
+from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.probes import instrument, strip_probes
 from qcover.ir import Circuit, GateInstruction, GateKind, Probe
-from qcover.qasm import parse, parse_file
+from qcover.qasm import parse
 from qcover.simulator import (
     SimulationError,
     apply_gate,
     fidelity,
     marginal,
     run,
-    sample_counts,
     statevector_of,
     zero_state,
 )
 from qcover.transpiler import transpile
-
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_h_statevector():
@@ -128,18 +124,9 @@ def test_measurement_collapse_and_determinism():
     np.testing.assert_allclose(np.abs(first.state), np.abs(expected), atol=1e-12)
 
 
-def test_measurement_statistics():
-    circuit = build(1, 1, [(GateKind.H, (0,)),
-                           (GateKind.MEASURE, (0,), (), (0,))])
-    counts = sample_counts(circuit, 200, seed=0)
-    assert set(counts) <= {"0", "1"}
-    assert sum(counts.values()) == 200
-    assert 60 < counts.get("0", 0) < 140
-
-
 def _counts_by_full_runs(circuit, shots, seed):
     counts = {}
-    for shot in range(shots if circuit.num_clbits else 0):
+    for shot in range(shots):
         measured = run(circuit, seed=seed + shot).measurements
         key = "".join(str(measured.get(c, 0))
                       for c in reversed(range(circuit.num_clbits)))
@@ -147,37 +134,22 @@ def _counts_by_full_runs(circuit, shots, seed):
     return dict(sorted(counts.items()))
 
 
-def _with_mid_circuit_measurements(rng, circuit, count):
-    instructions = list(circuit.instructions)
-    for _ in range(count):
-        q = int(rng.integers(circuit.num_qubits))
-        pos = int(rng.integers(len(instructions) + 1))
-        instructions.insert(pos, GateInstruction(0, GateKind.MEASURE, (q,), (), (q,)))
-    return Circuit(circuit.num_qubits, circuit.num_qubits, renumber(instructions))
+def test_measurement_statistics():
+    circuit = build(1, 1, [(GateKind.H, (0,)),
+                           (GateKind.MEASURE, (0,), (), (0,))])
+    counts = _counts_by_full_runs(circuit, 200, seed=0)
+    assert set(counts) <= {"0", "1"}
+    assert sum(counts.values()) == 200
+    assert 60 < counts.get("0", 0) < 140
 
 
-def test_sample_counts_match_one_full_run_per_shot():
-    circuits = [parse_file(str(path)) for path in sorted(CORPUS.glob("*.qasm"))]
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        circuit = random_circuit(rng, num_gates=int(rng.integers(4, 20)))
-        circuits.append(_with_mid_circuit_measurements(rng, circuit, int(rng.integers(1, 4))))
-    circuits.append(instrument(transpile(circuits[-1])))  # probes before and after
-    for circuit in circuits:
-        assert (sample_counts(circuit, 40, seed=7)
-                == _counts_by_full_runs(circuit, 40, seed=7)), circuit
-
-
-def test_sample_counts_keep_the_per_shot_errors():
-    # a probe label repeated on both sides of the first measurement
+def test_duplicate_probe_label_across_a_measurement_raises():
+    # the probe log is one per run: a measurement does not start a new one
     circuit = Circuit(1, 1, (Probe(0, "expectation", 0, "v"),
                              GateInstruction(1, GateKind.MEASURE, (0,), (), (0,)),
                              Probe(2, "expectation", 0, "v")))
     with pytest.raises(SimulationError, match="duplicate probe label"):
-        sample_counts(circuit, 2)
-    assert sample_counts(circuit, 0) == {}
-    with pytest.raises(SimulationError, match="exceeds the limit"):
-        sample_counts(build(3, 1, [(GateKind.H, (0,))]), 1, qubit_limit=2)
+        run(circuit)
 
 
 def test_initial_state_validation():
