@@ -8,7 +8,6 @@ from .coverage import (
     analyze,
     classify_condition,
     classify_decision,
-    jain_index,
 )
 from .probes import instrument, probe_plan, strip_probes
 from .ir import (

@@ -13,10 +13,11 @@ output path (--json, --csv), 2 usage error.
 All randomness is seeded (default 0) and mutant timeouts are judged in
 deterministic cost units, so identical inputs and flags give identical
 outputs.  `cover` and `mutate` share one batch loop: each input file is one
-job (in a process pool with --jobs above 1), results print in input order, a
-failed file prints one error line, and a circuit aborted by the time limit
-(checked between stages and mutants) is skipped with a warning and does not
-fail the batch.
+job (in a process pool with --jobs above 1), and each result prints as soon
+as it and every earlier one are ready, in input order; `cover --json` writes
+each report's file then too.  A failed file prints one error line, and a
+circuit aborted by the time limit (checked between stages and mutants) is
+skipped with a warning and does not fail the batch.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import os
 import statistics
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -176,40 +178,41 @@ def _cover_one(path: Path, args) -> coverage.CoverageReport:
     return _analyze_circuit(_load(path), path.name, args, deadline)
 
 
-def _attempt(call) -> tuple[object, Exception | None]:
-    try:
-        return call(), None
-    except Exception as exc:
-        return None, exc
-
-
 def _run_batch(paths: list[Path], args, worker, show) -> int:
     """Run worker(path, args) over the input paths and show each result.
 
     With --jobs above 1 the inputs run in a process pool of at most one
-    worker per input; either way the results are shown in input order,
-    after every input has run.  A failed input prints one error line and
-    makes the exit code 1; one past the time limit prints a skip line and
-    does not.
+    worker per input.  Either way each result is shown as soon as it and
+    every earlier one are ready, in input order, and nothing of it is kept
+    after show returns.  A failed input prints one error line and makes the
+    exit code 1; one past the time limit prints a skip line and does not.
     """
     if not paths:
         print("qcover: no input files", file=sys.stderr)
         return 1
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            futures = [pool.submit(worker, path, args) for path in paths]
-            outcomes = [_attempt(future.result) for future in futures]
-    else:
-        outcomes = [_attempt(partial(worker, path, args)) for path in paths]
     failed = False
-    for path, (result, error) in zip(paths, outcomes):
-        if isinstance(error, _TimeLimit):
-            print(f"qcover: {path}: skipped ({error})", file=sys.stderr)
-        elif error is not None:
+
+    def settle(path: Path, call) -> None:
+        nonlocal failed
+        try:
+            result = call()
+        except _TimeLimit as exc:
+            print(f"qcover: {path}: skipped ({exc})", file=sys.stderr)
+        except Exception as exc:
             failed = True
-            print(f"qcover: {path}: {error}", file=sys.stderr)
+            print(f"qcover: {path}: {exc}", file=sys.stderr)
         else:
             show(path, result)
+
+    if args.jobs > 1 and len(paths) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+            # a shown future is dropped, and its result with it
+            pending = deque(pool.submit(worker, path, args) for path in paths)
+            for path in paths:
+                settle(path, pending.popleft().result)
+    else:
+        for path in paths:
+            settle(path, partial(worker, path, args))
     return 1 if failed else 0
 
 
@@ -225,15 +228,19 @@ def _print_report(report: coverage.CoverageReport) -> None:
         print(f"  {metric:<10} {row[0]:>9.2f} {row[1]:>9.2f} {row[2]:>14.2f}")
 
 
-def _print_summary(reports: list[coverage.CoverageReport]) -> None:
-    print(f"summary over {len(reports)} circuit(s)")
+def _summary_row(report: coverage.CoverageReport) -> tuple[float, ...]:
+    """The nine metrics of one report, in _print_summary's order."""
+    return tuple(report.metric(family, metric)
+                 for metric in _METRICS for family in _FAMILIES)
+
+
+def _print_summary(rows: list[tuple[float, ...]]) -> None:
+    print(f"summary over {len(rows)} circuit(s)")
     print(f"  {'metric':<26} {'min':>9} {'max':>9} {'median':>9} {'avg':>9}")
-    for metric in _METRICS:
-        for family in _FAMILIES:
-            values = [r.metric(family, metric) for r in reports]
-            print(f"  {metric + ' ' + family:<26} {min(values):>9.2f} "
-                  f"{max(values):>9.2f} {statistics.median(values):>9.2f} "
-                  f"{statistics.mean(values):>9.2f}")
+    labels = (f"{metric} {family}" for metric in _METRICS for family in _FAMILIES)
+    for label, values in zip(labels, zip(*rows)):
+        print(f"  {label:<26} {min(values):>9.2f} {max(values):>9.2f} "
+              f"{statistics.median(values):>9.2f} {statistics.mean(values):>9.2f}")
 
 
 def _write_json(directory: str, report: coverage.CoverageReport) -> None:
@@ -262,22 +269,27 @@ def cmd_cover(args) -> int:
                       f"write {path.stem}.json", file=sys.stderr)
                 return 2
             seen[path.stem] = path
-    reports = []
+    rows = []
+    json_error: OSError | None = None
 
     def show(path: Path, report: coverage.CoverageReport) -> None:
-        reports.append(report)
+        nonlocal json_error
         if not args.quiet:
             _print_report(report)
+        if args.json and json_error is None:
+            try:
+                _write_json(args.json, report)
+            except OSError as exc:
+                # reported after the summary, and no later report is written;
+                # its traceback would keep this report alive
+                json_error = exc.with_traceback(None)
+        rows.append(_summary_row(report))
 
     code = _run_batch(paths, args, _cover_one, show)
-    if reports and args.summary and not args.quiet:
-        _print_summary(reports)
-    if args.json:
-        try:
-            for report in reports:
-                _write_json(args.json, report)
-        except OSError as exc:
-            return _unwritable(exc)
+    if rows and args.summary and not args.quiet:
+        _print_summary(rows)
+    if json_error is not None:
+        return _unwritable(json_error)
     return code
 
 
@@ -313,10 +325,13 @@ def cmd_mutate(args) -> int:
         print("qcover: --operators needs at least one of qgr,qgd,qgi", file=sys.stderr)
         return 2
     rows = []
+    engine_error = False
 
     def show(path: Path, outcome) -> None:
+        nonlocal engine_error
         campaign_result, mutant_lines = outcome
-        rows.append(campaign_result)
+        rows.append(campaign_result.csv_row())
+        engine_error = engine_error or campaign_result.errors > 0
         if args.quiet:
             return
         score = ("none" if campaign_result.score is None
@@ -338,10 +353,10 @@ def cmd_mutate(args) -> int:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(mutation.csv_header() + "\n")
                 for row in rows:
-                    fh.write(row.csv_row() + "\n")
+                    fh.write(row + "\n")
         except OSError as exc:
             return _unwritable(exc)
-    return 1 if any(row.errors for row in rows) else code
+    return 1 if engine_error else code
 
 
 def cmd_instrument(args) -> int:

@@ -118,23 +118,6 @@ class CoverageReport:
         }
 
 
-def jain_index(values: list[float]) -> float:
-    """Fairness of an allocation: (sum x)^2 / (n * sum x^2), in [0, 1]."""
-    if not values:
-        raise ValueError("jain_index needs at least one value")
-    if any(v < 0 for v in values):
-        raise ValueError("jain_index values must be non-negative")
-    top = max(values)
-    if top == 0.0:
-        raise ValueError("jain_index values must not all be zero")
-    # dividing by the largest value keeps tiny inputs from squaring into
-    # subnormals, where the ratio loses precision and can exceed 1
-    values = [v / top for v in values]
-    square_sum = sum(v * v for v in values)
-    total = sum(values)
-    return (total * total) / (len(values) * square_sum)
-
-
 def classify_condition(expectation: float, probs: tuple[float, float],
                        epsilon: float = DEFAULT_EPSILON) -> tuple[int, int, float, float]:
     """Hit pattern and branch probabilities for one cx condition.

@@ -1,15 +1,19 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
+import gc
 import json
 import os
 import subprocess
 import sys
 import types
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qcover import cli, mutation
+from corpus_util import random_circuit
+from qcover import cli, coverage, mutation, qasm
 from qcover.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,6 +300,60 @@ def test_json_dir_that_is_a_file_fails_cleanly(tmp_path, capsys):
     target.write_text("")
     assert main(["cover", SWAP, "--json", str(target), "--quiet"]) == 1
     assert capsys.readouterr().err == f"qcover: {target}: File exists\n"
+
+
+def test_json_write_failing_mid_batch_stops_the_json_only(tmp_path, capsys):
+    inputs = [str(CORPUS / "bell_pair.qasm"), SWAP, str(CORPUS / "ghz4.qasm")]
+    assert main(["cover", *inputs, "--summary"]) == 0
+    printed = capsys.readouterr().out
+    out_dir = tmp_path / "reports"
+    blocked = out_dir / "swap_test.json"
+    blocked.mkdir(parents=True)
+    assert main(["cover", *inputs, "--summary", "--json", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    # every report and the summary still print; the one error line comes last
+    assert captured.out == printed
+    assert "swap_test.qasm: " in printed and "summary over 3 circuit(s)" in printed
+    assert captured.err == f"qcover: {blocked}: Is a directory\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["bell_pair.json", "swap_test.json"]
+    assert json.loads((out_dir / "bell_pair.json").read_text())["circuit"] == "bell_pair.qasm"
+    assert not any(blocked.iterdir())
+
+
+@pytest.mark.parametrize("command, output", [
+    (["cover", "--summary", "--json"], "reports"),
+    (["mutate", "--csv"], "campaign.csv"),
+], ids=["cover", "mutate"])
+def test_batch_keeps_no_finished_circuit(command, output, tmp_path, monkeypatch, capsys):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for seed in range(6):
+        circuit = random_circuit(np.random.default_rng(seed), num_qubits=3, num_gates=8)
+        (inputs / f"c{seed}.qasm").write_text(qasm.serialize(circuit))
+    finished = []  # a weak reference to every report and campaign result
+    alive = []  # how many of them are alive as each circuit starts
+    real_analyze, real_campaign = coverage.analyze, mutation.campaign
+
+    def analyze(*args, **kwargs):
+        # the first library result of each circuit, in both commands
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in finished))
+        report = real_analyze(*args, **kwargs)
+        finished.append(weakref.ref(report))
+        return report
+
+    def campaign(*args, **kwargs):
+        result = real_campaign(*args, **kwargs)
+        finished.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(coverage, "analyze", analyze)
+    monkeypatch.setattr(mutation, "campaign", campaign)
+    assert main([command[0], str(inputs), *command[1:], str(tmp_path / output),
+                 "--jobs", "1"]) == 0
+    assert "c5.qasm" in capsys.readouterr().out
+    assert len(alive) == 6
+    assert max(alive) <= 1, alive
 
 
 def test_csv_path_that_is_a_dir_fails_cleanly(tmp_path, capsys):

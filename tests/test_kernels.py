@@ -20,12 +20,14 @@ WIDTH = 8
 KINDS = [k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)]
 
 
-def _random_state(rng: np.random.Generator) -> np.ndarray:
-    state = rng.normal(size=1 << WIDTH) + 1j * rng.normal(size=1 << WIDTH)
+def _random_state(rng: np.random.Generator, width: int = WIDTH) -> np.ndarray:
+    state = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
     state[rng.random(state.size) < 0.15] = 0.0
     state.real[rng.random(state.size) < 0.1] = 0.0
     state.imag[rng.random(state.size) < 0.1] = -0.0
-    return state / np.linalg.norm(state)
+    norm = np.linalg.norm(state)
+    # a state of one or two qubits can draw all zeros: draw again
+    return state / norm if norm else _random_state(rng, width)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
@@ -57,6 +59,30 @@ def test_tiled_kernel_matches_oracle_on_every_operand_tuple(kind, monkeypatch):
     # array differently from its vector loop.
     monkeypatch.setattr(simulator, "_BLOCK", 8)
     test_kernel_matches_oracle_on_every_operand_tuple(kind)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_kernel_matches_oracle_on_one_to_three_qubits(kind):
+    rng = np.random.default_rng(100 + list(GateKind).index(kind))
+    spec = SPECS[kind]
+    for width in range(spec.num_qubits, 4):
+        for qubits in itertools.permutations(range(width), spec.num_qubits):
+            for _ in range(20):
+                params = tuple(float(v) for v in
+                               rng.uniform(-np.pi, np.pi, spec.num_params))
+                state = _random_state(rng, width)
+                got, want, wrapped = state.copy(), state.copy(), state.copy()
+                simulator.kernel(kind, params, qubits, width)(got)
+                kernel_oracle.apply_gate(want, kind, params, qubits)
+                simulator.apply_gate(wrapped, kind, params, qubits)
+                assert got.tobytes() == wrapped.tobytes(), (kind, width, qubits)
+                if width == 1:
+                    # numpy's in-place multiply of a one-element array rounds
+                    # differently from its vector loop, so the 2x2 product of
+                    # _dense_1q can differ from the oracle's in the last bit
+                    assert np.max(np.abs(got - want)) <= 1e-15, (kind, qubits)
+                else:
+                    assert np.array_equal(got, want), (kind, width, qubits)
 
 
 def test_wide_circuit_with_the_default_tiles_matches_oracle():
