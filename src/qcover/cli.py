@@ -10,23 +10,24 @@ before or after the subcommand: --seed, --epsilon, --qubit-limit, --jobs,
 --quiet, --time-limit.  Exit codes:
 0 success, 1 any per-file failure, engine-error verdict or unwritable
 output path (--json, --csv), 2 usage error.
-All randomness is seeded (default 0) and mutant timeouts are judged in
-deterministic cost units, so identical inputs and flags give identical
+All randomness is seeded (default 0) and a mutant times out by its gate
+count, not by a clock, so identical inputs and flags give identical
 outputs.  `cover` and `mutate` share one batch loop: each input file is one
 job (in a process pool with --jobs above 1), and each result prints as soon
 as it and every earlier one are ready, in input order; `cover --json` writes
-each report's file then too.  A failed file prints one error line, and a
-circuit aborted by the time limit (checked between stages and mutants) is
-skipped with a warning and does not fail the batch.
+each report's file then too.  A failed file prints one error line.  An
+interval timer (SIGALRM) interrupts a circuit wherever it is when its
+--time-limit runs out; it is skipped with a warning, not failed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import signal
 import statistics
 import sys
-import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -69,9 +70,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="suppress per-circuit output")
     parser.add_argument("--time-limit", type=float, metavar="SECONDS",
                         default=argparse.SUPPRESS,
-                        help="abort a single circuit past this budget without "
-                             "failing the batch (checked between stages and "
-                             "mutants)")
+                        help="interrupt a single circuit past this budget, "
+                             "parse included, and skip it without failing the "
+                             "batch")
 
 
 def _operator_list(raw: str) -> tuple[str, ...]:
@@ -108,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap mutants per circuit (seeded subsample)")
     mutate.add_argument("--timeout-factor", type=float,
                         default=mutation.DEFAULT_TIMEOUT_FACTOR,
-                        help="runtime ratio beyond which a mutant times out")
+                        help="gate-count ratio, mutant to original, beyond "
+                             "which a mutant times out")
     mutate.add_argument("--tolerance", type=float, default=mutation.DEFAULT_TOLERANCE,
                         help="statevector equivalence tolerance")
     mutate.add_argument("--csv", metavar="PATH", help="write the campaign table")
@@ -124,21 +126,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _TimeLimit(Exception):
-    pass
+class _TimeLimit(BaseException):
+    """A circuit ran past --time-limit; not an Exception, so that judge()
+    does not take it for an engine error."""
 
 
-class _Deadline:
-    """Cooperative per-circuit budget, started before the parse and checked
-    between stages and mutants."""
+def _limited(worker, path: Path, args):
+    """worker(path, args), interrupted by ITIMER_REAL past args.time_limit.
 
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
-        self.start = time.perf_counter()
+    A zero limit skips before the parse (a zero interval would disarm the
+    timer), and one the timer cannot hold is no limit.  On the way out the
+    timer is disarmed and the previous SIGALRM handler restored.
+    """
+    limit = args.time_limit
+    if limit is None:
+        return worker(path, args)
 
-    def check(self) -> None:
-        if self.seconds is not None and time.perf_counter() - self.start > self.seconds:
-            raise _TimeLimit(f"time limit of {self.seconds}s exceeded")
+    def expire(*_):
+        raise _TimeLimit(f"time limit of {limit}s exceeded")
+
+    if limit == 0:
+        expire()
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        with contextlib.suppress(OverflowError):
+            signal.setitimer(signal.ITIMER_REAL, limit)
+        try:
+            return worker(path, args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:  # apart: the alarm may go off just before it is disarmed
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _expand_paths(paths: list[str]) -> list[Path]:
@@ -160,22 +178,17 @@ def _load(path: Path):
     return circuit
 
 
-def _analyze_circuit(circuit, name: str, args, deadline: _Deadline):
-    deadline.check()
+def _analyze_circuit(circuit, name: str, args):
     transpiled = transpile(circuit)
-    deadline.check()
     probed = instrument(transpiled)
-    deadline.check()
     result = simulator.run(probed, seed=args.seed, qubit_limit=args.qubit_limit)
-    deadline.check()
     return coverage.analyze(result.probes, transpiled, epsilon=args.epsilon,
                             circuit_name=name)
 
 
 def _cover_one(path: Path, args) -> coverage.CoverageReport:
     """Worker for the cover pipeline."""
-    deadline = _Deadline(args.time_limit)  # started before the parse
-    return _analyze_circuit(_load(path), path.name, args, deadline)
+    return _analyze_circuit(_load(path), path.name, args)
 
 
 def _run_batch(paths: list[Path], args, worker, show) -> int:
@@ -184,8 +197,9 @@ def _run_batch(paths: list[Path], args, worker, show) -> int:
     With --jobs above 1 the inputs run in a process pool of at most one
     worker per input.  Either way each result is shown as soon as it and
     every earlier one are ready, in input order, and nothing of it is kept
-    after show returns.  A failed input prints one error line and makes the
-    exit code 1; one past the time limit prints a skip line and does not.
+    after show returns.  Each input runs under _limited in the process
+    that runs it.  A failed input prints one error line and makes the exit
+    code 1; one past the time limit prints a skip line and does not.
     """
     if not paths:
         print("qcover: no input files", file=sys.stderr)
@@ -207,12 +221,13 @@ def _run_batch(paths: list[Path], args, worker, show) -> int:
     if args.jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
             # a shown future is dropped, and its result with it
-            pending = deque(pool.submit(worker, path, args) for path in paths)
+            pending = deque(pool.submit(_limited, worker, path, args)
+                            for path in paths)
             for path in paths:
                 settle(path, pending.popleft().result)
     else:
         for path in paths:
-            settle(path, partial(worker, path, args))
+            settle(path, partial(_limited, worker, path, args))
     return 1 if failed else 0
 
 
@@ -295,20 +310,15 @@ def cmd_cover(args) -> int:
 
 def _mutate_one(path: Path, args):
     """Worker for a mutation campaign; returns (result, mutant lines)."""
-    deadline = _Deadline(args.time_limit)
     circuit = _load(path)
-    report = _analyze_circuit(circuit, path.name, args, deadline)
+    report = _analyze_circuit(circuit, path.name, args)
     mutants = mutation.generate_mutants(circuit, args.operators, seed=args.seed,
                                         budget=args.budget)
-    verdicts = []
-    for mutant in mutants:
-        deadline.check()
-        verdicts.append(mutation.judge(circuit, mutant, args.tolerance,
-                                       args.timeout_factor,
-                                       qubit_limit=args.qubit_limit))
     result = mutation.campaign(circuit, report, args.operators,
                                circuit_name=path.name, mutants=mutants,
-                               verdicts=verdicts)
+                               tolerance=args.tolerance,
+                               timeout_factor=args.timeout_factor,
+                               qubit_limit=args.qubit_limit)
     mutant_lines = tuple(
         f"[{m.mutant_id}] {m.operator} {m.detail} @ {m.site} -> {v.status}"
         + (f" (fidelity {v.fidelity:.6f})" if v.fidelity is not None else "")
@@ -389,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--qubit-limit must be at least 1")
     if not args.jobs >= 1:
         parser.error("--jobs must be at least 1")
-    # a zero budget is allowed: it skips every circuit at its first check
+    # a zero budget is allowed: it skips every circuit before its parse
     if args.time_limit is not None and not args.time_limit >= 0:
         parser.error("--time-limit must not be negative")
     if getattr(args, "budget", None) is not None and args.budget < 0:

@@ -19,11 +19,10 @@ measurements and barriers) it drops `drop` gates, 0 or 1, and puts the
 gates `insert` there.  It is judged against the original by comparing
 pre-measurement statevectors: |<orig|mut>| >= 1 - tolerance means the
 mutant survived (states equal up to global phase), anything less means it
-was killed.  A mutant whose run costs more than timeout_factor times the
-original's counts as a timeout instead.  Runtime is charged in
-deterministic cost units: the length of the gate list times 2^n, for the
-mutant the original's length less `drop` plus the length of `insert`, so
-campaign CSV output is byte-stable across runs.
+was killed.  A mutant whose gate list (the original's, less `drop`, plus
+`insert`) is longer than timeout_factor times the original's counts as a
+timeout instead: a gate-count ratio, not a clock, so campaign CSV output is
+byte-stable across runs.
 
 judge() shares one forward run of the original across calls.  The first
 call for an original reads its gate list in one pass, which also rejects
@@ -47,10 +46,13 @@ Every replayed amplitude goes through the same kernels in the same order
 as in full runs, kernels and fidelity read amplitudes only by value, and
 the one difference np.array_equal ignores is the sign of an exact zero;
 so fidelities and verdicts are bit-identical to full re-simulation of the
-edited circuit.  A mutant that times out by cost is not simulated at all.
-The price is memory: while the original circuit is alive, two extra
-states of 2^n amplitudes each stay held (one original at a time; judging
-another original frees them), and one working copy per call in progress.
+edited circuit.  A mutant that times out is not simulated at all.  A call
+cut short by an exception that judge() does not make an error verdict
+(the CLI's time limit is one) leaves the shared run usable: a cursor
+caught mid-sweep is marked, and the next call starts it again.  The price
+is memory: while the original circuit is alive, two extra states of 2^n
+amplitudes each stay held (one original at a time; judging another
+original frees them), and one working copy per call in progress.
 The shortcut holds no further state, only one float per site.
 
 Measurements and barriers are never mutation sites: deleting a measurement
@@ -106,8 +108,6 @@ class MutantVerdict:
     mutant_id: int
     status: str      # killed | survived | timeout | error
     fidelity: float | None
-    original_runtime: float
-    mutant_runtime: float
 
 
 def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
@@ -176,11 +176,11 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
 class _SharedPrefix:
     """One forward run of an original circuit, reused by judge().
 
-    steps are the kernels of the original's gate list, built once, and cost
-    its cost units; final is its statevector and unchanged is
-    fidelity(final, final); cursor is its state after the first `position`
-    steps; deleted maps a gate index to the fidelity of the original
-    without that gate, once a mutant has needed it.
+    steps are the kernels of the original's gate list, built once; final
+    is its statevector and unchanged is fidelity(final, final); cursor is
+    its state after the first `position` steps; deleted maps a gate index
+    to the fidelity of the original without that gate, once a mutant has
+    needed it.
     """
 
     def __init__(self, original: Circuit, qubit_limit: int):
@@ -189,7 +189,6 @@ class _SharedPrefix:
         self.num_qubits = original.num_qubits
         self.steps = [kernel(*op, self.num_qubits)
                       for op in gate_ops(original, qubit_limit)]
-        self.cost = float(len(self.steps) << self.num_qubits)
         self.final = zero_state(self.num_qubits)
         for step in self.steps:
             step(self.final)
@@ -278,22 +277,16 @@ def judge(original: Circuit, mutant: Mutant,
     Simulation failures yield an 'error' verdict rather than raising, so a
     campaign can keep going.  The original's run is shared with the
     previous call when `original` is the same object and `qubit_limit` is
-    unchanged: the cursor moves to the edit's index, only the inserted
-    gates are applied, and the rest replays the original's prebuilt
-    kernels.  When the inserted gates leave the state at the edit as it
-    was, nothing is replayed: the fidelity is the original's with itself,
-    or, when the edit drops a gate, that of the original without the gate,
-    computed once per site.  This holds two extra states of the original's
-    size for as long as the original circuit lives, and the shortcut adds
-    none.  Runtimes are cost units; `timing`
-    accepts only "cost".  Raises MutationError for a tolerance outside
-    [0, 1), a timeout_factor that is not positive, or an edit that does not
-    fit the original's gate list.
+    unchanged, as the module docstring describes.  A mutant times out when
+    its gate list is longer than timeout_factor times the original's;
+    `timing` accepts only "cost", this gate count.  Raises MutationError
+    for a tolerance outside [0, 1), a timeout_factor that is not positive,
+    or an edit that does not fit the original's gate list.
     """
     if timing != "cost":
         raise MutationError(f"unknown timing mode {timing!r}")
     _check_thresholds(tolerance, timeout_factor)
-    error = MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
+    error = MutantVerdict(mutant.mutant_id, "error", None)
     try:
         prefix = _shared_prefix(original, qubit_limit)
     except Exception:
@@ -303,16 +296,14 @@ def judge(original: Circuit, mutant: Mutant,
         raise MutationError(
             f"mutant {mutant.mutant_id} edits gates {mutant.at} to "
             f"{mutant.at + mutant.drop} of a gate list of {gates}")
-    ref_time = prefix.cost
-    mut_time = float((gates - mutant.drop + len(mutant.insert)) << prefix.num_qubits)
-    if mut_time > timeout_factor * ref_time:
-        return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
+    if gates - mutant.drop + len(mutant.insert) > timeout_factor * gates:
+        return MutantVerdict(mutant.mutant_id, "timeout", None)
     try:
         fid = prefix.fidelity_of(mutant)
     except Exception:
         return error
     status = "survived" if fid >= 1.0 - tolerance else "killed"
-    return MutantVerdict(mutant.mutant_id, status, fid, ref_time, mut_time)
+    return MutantVerdict(mutant.mutant_id, status, fid)
 
 
 def mutation_score(verdicts: list[MutantVerdict]) -> float:
@@ -373,12 +364,12 @@ def campaign(circuit: Circuit, report: CoverageReport,
              verdicts: list[MutantVerdict] | None = None) -> CampaignResult:
     """Generate, judge, and tally every mutant of one circuit.
 
-    Pre-generated mutants and verdicts may be supplied (the CLI judges them
-    itself so it can enforce a time limit); then seed, budget, tolerance,
-    timeout_factor and qubit_limit go unused.  Engine errors on individual
-    mutants are tallied without aborting; the caller decides how to surface
-    them (the CLI exits nonzero).  Raises MutationError for the argument
-    values that judge() and generate_mutants() reject.
+    Pre-generated mutants may be supplied, and then seed and budget go
+    unused; so may their verdicts, and then nothing is judged here and
+    tolerance, timeout_factor and qubit_limit go unused.  Engine errors on
+    individual mutants are tallied without aborting; the caller decides how
+    to surface them (the CLI exits nonzero).  Raises MutationError for the
+    argument values that judge() and generate_mutants() reject.
     """
     _check_thresholds(tolerance, timeout_factor)
     operators = tuple(sorted(set(operators)))
@@ -390,7 +381,8 @@ def campaign(circuit: Circuit, report: CoverageReport,
                     for mutant in mutants]
     if len(verdicts) != len(mutants):
         raise MutationError("verdict list does not match the mutant list")
-    per_operator: dict[str, list[int]] = {op: [0, 0, 0, 0] for op in operators}
+    # per operator: total, killed, survived, timeout, error
+    per_operator: dict[str, list[int]] = {op: [0] * 5 for op in operators}
     for mutant, verdict in zip(mutants, verdicts):
         tally = per_operator.get(mutant.operator)
         if tally is None:
@@ -398,18 +390,12 @@ def campaign(circuit: Circuit, report: CoverageReport,
                 f"mutant {mutant.mutant_id} has operator {mutant.operator!r}, "
                 f"not one of {'+'.join(operators)}")
         tally[0] += 1
-        if verdict.status == "killed":
-            tally[1] += 1
-        elif verdict.status == "survived":
-            tally[2] += 1
-        elif verdict.status == "timeout":
-            tally[3] += 1
-
-    killed = sum(1 for v in verdicts if v.status == "killed")
-    survived = sum(1 for v in verdicts if v.status == "survived")
-    timeouts = sum(1 for v in verdicts if v.status == "timeout")
-    errors = sum(1 for v in verdicts if v.status == "error")
-    score = mutation_score(verdicts) if killed + survived + timeouts else None
+        tally[1 + ("killed", "survived", "timeout", "error").index(verdict.status)] += 1
+    killed, survived, timeouts, errors = (
+        sum(tally[column] for tally in per_operator.values()) for column in range(1, 5))
+    judged = killed + survived + timeouts
+    # the same division as mutation_score(verdicts)
+    score = killed / judged if judged else None
 
     return CampaignResult(
         circuit_name=circuit_name,
@@ -421,7 +407,7 @@ def campaign(circuit: Circuit, report: CoverageReport,
         timeout=timeouts,
         errors=errors,
         score=score,
-        per_operator={op: tuple(v) for op, v in per_operator.items()},
+        per_operator={op: tuple(v[:4]) for op, v in per_operator.items()},
         verdicts=tuple(verdicts),
         report=report,
     )

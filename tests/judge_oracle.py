@@ -5,8 +5,9 @@ across calls and before a mutant became an edit record: the mutant's whole
 circuit is rebuilt from its operator, site and detail (never from its `at`,
 `drop` and `insert`), the original and that circuit are each simulated from
 |0...0> on every call, and the mutant is simulated even when it times out.
-It counts cost units with its own copy of judge()'s earlier _cost_units, so
-the oracle shares no code with the gate list it checks.
+It times a mutant out by counting the gates of that rebuilt circuit and of
+the original itself, so the oracle shares no code with the gate list it
+checks.
 """
 from __future__ import annotations
 
@@ -34,11 +35,10 @@ def mutant_circuit(original: Circuit, mutant: Mutant) -> Circuit:
     return Circuit(original.num_qubits, original.num_clbits, renumber(body))
 
 
-def _cost_units(circuit: Circuit) -> float:
-    """Deterministic runtime proxy: executed gates times state size."""
-    gate_count = sum(1 for i in circuit.gates
-                     if i.kind not in (GateKind.MEASURE, GateKind.BARRIER))
-    return float(gate_count * (1 << circuit.num_qubits))
+def _gate_count(circuit: Circuit) -> int:
+    """The gates a run applies: every gate but measurements and barriers."""
+    return sum(1 for i in circuit.gates
+               if i.kind not in (GateKind.MEASURE, GateKind.BARRIER))
 
 
 def judge_full(original: Circuit, mutant: Mutant,
@@ -47,15 +47,13 @@ def judge_full(original: Circuit, mutant: Mutant,
                qubit_limit: int = DEFAULT_QUBIT_LIMIT) -> MutantVerdict:
     try:
         ref_state = statevector_of(original, qubit_limit=qubit_limit)
-        ref_time = _cost_units(original)
         circuit = mutant_circuit(original, mutant)
         mut_state = statevector_of(circuit, qubit_limit=qubit_limit)
-        mut_time = _cost_units(circuit)
     except Exception:
-        return MutantVerdict(mutant.mutant_id, "error", None, 0.0, 0.0)
+        return MutantVerdict(mutant.mutant_id, "error", None)
 
-    if mut_time > timeout_factor * ref_time:
-        return MutantVerdict(mutant.mutant_id, "timeout", None, ref_time, mut_time)
+    if _gate_count(circuit) > timeout_factor * _gate_count(original):
+        return MutantVerdict(mutant.mutant_id, "timeout", None)
     fid = fidelity(ref_state, mut_state)
     status = "survived" if fid >= 1.0 - tolerance else "killed"
-    return MutantVerdict(mutant.mutant_id, status, fid, ref_time, mut_time)
+    return MutantVerdict(mutant.mutant_id, status, fid)

@@ -200,8 +200,8 @@ def test_criterion_6_mutation_pipeline():
 
     from qcover.mutation import MutantVerdict
 
-    verdicts = ([MutantVerdict(i, "killed", 0.5, 1, 1) for i in range(3)]
-                + [MutantVerdict(3, "survived", 1.0, 1, 1)])
+    verdicts = ([MutantVerdict(i, "killed", 0.5) for i in range(3)]
+                + [MutantVerdict(3, "survived", 1.0)])
     assert mutation_score(verdicts) == pytest.approx(0.75)
 
     # 10-circuit mini-campaign, twice, byte-identical CSV, well under 10 min

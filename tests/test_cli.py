@@ -2,9 +2,10 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
-import types
+import time
 import weakref
 from concurrent.futures import Future
 from pathlib import Path
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from corpus_util import random_circuit
-from qcover import cli, coverage, mutation, qasm
+from qcover import cli, coverage, mutation, qasm, simulator
 from qcover.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 SWAP = str(CORPUS / "swap_test.qasm")
+BELL = str(CORPUS / "bell_pair.qasm")
 
 
 def test_cover_swap_test_table(capsys):
@@ -264,23 +266,83 @@ def test_time_limit_skips_without_failing(capsys):
 
 @pytest.mark.parametrize("command", ["cover", "mutate"])
 def test_time_limit_counts_the_parse(command, monkeypatch, capsys):
-    # a parse that takes 10 s of a 5 s budget skips the circuit in both commands
-    clock = [0.0]
-    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    # a parse that would take a minute is cut off by a 0.2 s budget in both
+    # commands
     real_load = cli._load
 
     def slow_load(path):
-        clock[0] += 10.0
+        time.sleep(60)
         return real_load(path)
 
     monkeypatch.setattr(cli, "_load", slow_load)
-    assert main([command, SWAP, "--time-limit", "5"]) == 0
+    start = time.perf_counter()
+    assert main([command, SWAP, "--time-limit", "0.2"]) == 0
+    assert time.perf_counter() - start < 30
     captured = capsys.readouterr()
-    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 5.0s exceeded)\n"
+    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 0.2s exceeded)\n"
+
+
+def _slow_on_the_swap_test(real):
+    """real, but on a three-qubit circuit (the swap test, not the Bell pair)
+    it first sleeps for a minute."""
+    def slow(circuit, *args, **kwargs):
+        if circuit.num_qubits == 3:
+            time.sleep(60)
+        return real(circuit, *args, **kwargs)
+    return slow
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command, module, stage",
+                         [("cover", simulator, "run"), ("mutate", mutation, "judge")],
+                         ids=["cover", "mutate"])
+def test_time_limit_interrupts_a_stage(command, module, stage, jobs, monkeypatch,
+                                       capsys):
+    # the limit cuts into a simulation or a judge, in the worker process too,
+    # and the next input runs as if there were no limit
+    assert main([command, BELL]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(module, stage, _slow_on_the_swap_test(getattr(module, stage)))
+    start = time.perf_counter()
+    assert main([command, SWAP, BELL, "--time-limit", "0.3", "--jobs", jobs]) == 0
+    assert time.perf_counter() - start < 30
+    captured = capsys.readouterr()
+    assert captured.err == f"qcover: {SWAP}: skipped (time limit of 0.3s exceeded)\n"
+    assert captured.out == expected
+
+
+@pytest.mark.parametrize("slow", [False, True], ids=["finished", "skipped"])
+def test_time_limit_leaves_the_alarm_as_it_was(slow, monkeypatch, capsys):
+    if slow:
+        monkeypatch.setattr(simulator, "run", _slow_on_the_swap_test(simulator.run))
+
+    def handler(signum, frame):
+        raise AssertionError("the alarm went off after main returned")
+
+    previous = signal.signal(signal.SIGALRM, handler)
+    start = time.perf_counter()
+    try:
+        assert main(["cover", SWAP, "--time-limit", "0.3" if slow else "30"]) == 0
+        assert time.perf_counter() - start < 30
+        assert signal.getsignal(signal.SIGALRM) is handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err.count("skipped") == int(slow)
+
+
+@pytest.mark.parametrize("limit", ["inf", "1e12"])
+@pytest.mark.parametrize("command", ["cover", "mutate"])
+def test_time_limit_past_the_timer_is_no_limit(command, limit, capsys):
+    # the interval timer cannot hold these; the run goes on without a limit
+    assert main([command, SWAP, BELL]) == 0
+    expected = capsys.readouterr()
+    assert main([command, SWAP, BELL, "--time-limit", limit]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_timing_flag_is_gone(capsys):
-    # mutants time out by cost units only
+    # mutants time out by their gate count only, never by a clock
     with pytest.raises(SystemExit) as excinfo:
         main(["mutate", SWAP, "--timing", "cost"])
     assert excinfo.value.code == 2

@@ -21,6 +21,7 @@ import pytest
 from corpus_util import build, random_circuit
 from judge_oracle import judge_full
 from qcover import mutation, simulator
+from qcover.cli import _TimeLimit
 from qcover.probes import instrument
 from qcover.ir import GateKind
 from qcover.mutation import Mutant, generate_mutants, judge
@@ -226,11 +227,11 @@ def _full_run(num_qubits, ops):
 
 def _judge_hand_built(monkeypatch, original, cases):
     """Judges each edit in turn and holds it to a full run of the edited
-    circuit: repr(fidelity), cost, and bit for bit every state judge()
-    replays; it builds kernels for the inserted gates only.  A replayed
-    state stands for the edited circuit or, when the edit drops one gate
-    and leaves the state at its index as it was, for the original without
-    that gate.  Returns, per edit, how many of the original's steps went to
+    circuit: repr(fidelity), the timeout by the edited gate list's length,
+    and bit for bit every state judge() replays; it builds kernels for the
+    inserted gates only.  A replayed state stands for the edited circuit
+    or, when the edit drops one gate and leaves the state at its index as
+    it was, for the original without that gate.  Returns, per edit, how many of the original's steps went to
     a state other than the cursor."""
     n = original.num_qubits
     ops = gate_ops(original, DEFAULT_QUBIT_LIMIT)
@@ -256,7 +257,7 @@ def _judge_hand_built(monkeypatch, original, cases):
         built.clear()
         verdict = judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
         assert repr(verdict.fidelity) == repr(fidelity(reference, full)), name
-        assert verdict.mutant_runtime == float(len(edited) << n), name
+        assert verdict.status != "timeout", name
         # the edit builds a kernel for each gate it inserts and no other
         assert built == [(*op, n) for op in insert], name
         applied[name] = counts["other"] - before - len(insert)
@@ -265,6 +266,11 @@ def _judge_hand_built(monkeypatch, original, cases):
         stands_for = ops[:at] + ops[at + 1:] if unchanged and drop == 1 else edited
         for state in replayed:
             assert state.tobytes() == _full_run(n, stands_for).tobytes(), name
+        # a factor half a gate short of the edited length times it out
+        if edited:
+            short = judge(original, mutant, timing="cost",
+                          timeout_factor=(len(edited) - 0.5) / len(ops))
+            assert short.status == "timeout", name
     monkeypatch.undo()
     return applied
 
@@ -336,3 +342,28 @@ def test_judging_holds_no_extra_state():
     finally:
         tracemalloc.stop()
     assert peak <= 5.25 * (16 << 14)
+
+
+def test_interrupted_sweep_leaves_the_shared_run_usable():
+    # the CLI's time limit raises from whatever is running: here a kernel
+    # step halfway along the cursor's sweep to the last gate
+    rng = np.random.default_rng(17)
+    original = random_circuit(rng, num_qubits=4, num_gates=20)
+    mutants = generate_mutants(original, ("qgd",))
+    last = mutants[-1]
+    prefix = mutation._shared_prefix(original, DEFAULT_QUBIT_LIMIT)
+    middle = last.at // 2
+    step = prefix.steps[middle]
+
+    def interrupted(state):
+        prefix.steps[middle] = step
+        raise _TimeLimit("time limit of 1.0s exceeded")
+
+    prefix.steps[middle] = interrupted
+    with pytest.raises(_TimeLimit):
+        judge(original, last, timing="cost", timeout_factor=NO_TIMEOUT)
+    assert prefix.position == -1 and not prefix.lock.locked()
+    for mutant in (last, *mutants):
+        assert (judge(original, mutant, timing="cost", timeout_factor=NO_TIMEOUT)
+                == judge_full(original, mutant, timeout_factor=NO_TIMEOUT)), mutant
+    assert mutation._slot is prefix

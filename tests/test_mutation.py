@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from judge_oracle import judge_full, mutant_circuit
@@ -259,16 +260,32 @@ def test_judge_timeout_by_cost():
     assert verdict.fidelity is None
 
 
+@settings(max_examples=500, deadline=None)
+@given(gates=st.integers(1, 1 << 26), drop=st.integers(0, 2), inserted=st.integers(0, 3),
+       n=st.integers(0, 26), data=st.data())
+def test_gate_count_timeout_equals_the_cost_unit_timeout(gates, drop, inserted, n, data):
+    # judge() once timed a mutant out by cost units, gate count times 2^n, in
+    # floats; scaling both sides by 2^n is exact while (gates + 1) * 2^n < 2^53
+    drop = min(drop, gates)
+    edited = gates - drop + inserted
+    factor = data.draw(st.sampled_from([
+        mutation.DEFAULT_TIMEOUT_FACTOR, 1e9, 5e-324, 1e-300, edited / gates,
+        (edited - 1) / gates, (edited + 1) / gates]) | st.floats(0.5, 2.0))
+    assume(factor > 0)
+    by_cost = float(edited << n) > factor * float(gates << n)
+    assert (edited > factor * gates) == by_cost
+
+
 def test_mutation_score():
     from qcover.mutation import MutantVerdict
 
-    verdicts = ([MutantVerdict(i, "killed", 0.0, 1, 1) for i in range(3)]
-                + [MutantVerdict(3, "survived", 1.0, 1, 1)])
+    verdicts = ([MutantVerdict(i, "killed", 0.0) for i in range(3)]
+                + [MutantVerdict(3, "survived", 1.0)])
     assert mutation_score(verdicts) == pytest.approx(0.75)
-    assert mutation_score([MutantVerdict(0, "survived", 1.0, 1, 1)]) == 0.0
-    big = ([MutantVerdict(i, "killed", 0.0, 1, 1) for i in range(271845)]
-           + [MutantVerdict(0, "survived", 1.0, 1, 1)] * 14604
-           + [MutantVerdict(0, "timeout", None, 1, 1)] * 858)
+    assert mutation_score([MutantVerdict(0, "survived", 1.0)]) == 0.0
+    big = ([MutantVerdict(i, "killed", 0.0) for i in range(271845)]
+           + [MutantVerdict(0, "survived", 1.0)] * 14604
+           + [MutantVerdict(0, "timeout", None)] * 858)
     assert mutation_score(big) == pytest.approx(0.9462, abs=5e-5)
 
 
@@ -280,11 +297,11 @@ def test_mutation_score_empty_rejected():
 def test_score_monotonicity():
     from qcover.mutation import MutantVerdict
 
-    verdicts = [MutantVerdict(0, "killed", 0.0, 1, 1),
-                MutantVerdict(1, "survived", 1.0, 1, 1)]
+    verdicts = [MutantVerdict(0, "killed", 0.0),
+                MutantVerdict(1, "survived", 1.0)]
     base = mutation_score(verdicts)
-    assert mutation_score(verdicts + [MutantVerdict(2, "killed", 0.0, 1, 1)]) >= base
-    assert mutation_score(verdicts + [MutantVerdict(2, "timeout", None, 1, 1)]) <= base
+    assert mutation_score(verdicts + [MutantVerdict(2, "killed", 0.0)]) >= base
+    assert mutation_score(verdicts + [MutantVerdict(2, "timeout", None)]) <= base
 
 
 def _campaign_for(circuit, name, operators=("qgd",), seed=0):
