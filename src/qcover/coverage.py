@@ -27,8 +27,10 @@ metrics: there is no branch left unexercised.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .probes import probe_plan
 from .simulator import ProbeLog
@@ -39,6 +41,22 @@ DEFAULT_EPSILON = 1e-9
 
 class AnalysisError(Exception):
     pass
+
+
+def _seq(items: list[str], pad: str) -> str:
+    """Items as a list laid out by json.dumps(indent=2), each at this padding."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+# the report's objects, keys sorted, one %s per value, laid out as indent=2
+# lays them out; _GATE_REST follows a gate's "controls" list
+_FAMILY = '{\n    "condition": %s,\n    "decision": %s,\n    "path": %s\n  }'
+_CX = ('{\n      "cx_index": %s,\n      "false": %s,\n      "origin": %s,\n'
+       '      "pfalse": %s,\n      "ptrue": %s,\n      "true": %s\n    }')
+_GATE_REST = (',\n      "false": %s,\n      "origin": %s,\n      "pfalse": %s,\n'
+         '      "ptrue": %s,\n      "true": %s\n    }')
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,32 @@ class CoverageReport:
     def metric(self, family: str, name: str) -> float:
         key = {"coverage": "", "jain": "jain_", "probabilistic": "prob_"}[family]
         return getattr(self, key + name)
+
+    def to_json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2, sort_keys=True) from a fixed
+        template; json's C encoder spells all the numbers (NaN too) in one call."""
+        values = [self.control_qubits, self.controlled_gates, self.condition, self.decision,
+                  self.path, self.cx_conditions, self.jain_condition, self.jain_decision,
+                  self.jain_path, self.num_qubits]
+        for c in self.per_cx:
+            values += (c.cx_index, c.false_hit, c.origin_gate_id, c.pfalse,
+                       c.ptrue, c.true_hit)
+        gates = []
+        for g in self.per_gate:
+            values += g.controls
+            values += (g.false_hit, g.origin_gate_id, g.pfalse, g.ptrue, g.true_hit)
+            gates.append('{\n      "controls": '
+                         + _seq(["%s"] * len(g.controls), " " * 8) + _GATE_REST)
+        values += (self.prob_condition, self.prob_decision, self.prob_path)
+        template = (
+            '{\n  "circuit": %s,\n  "control_qubits": %s,\n'
+            f'  "controlled_gates": %s,\n  "coverage": {_FAMILY},\n'
+            f'  "cx_conditions": %s,\n  "jain": {_FAMILY},\n  "num_qubits": %s,\n'
+            f'  "per_cx": {_seq([_CX] * len(self.per_cx), " " * 4)},\n'
+            f'  "per_gate": {_seq(gates, " " * 4)},\n'
+            f'  "probabilistic": {_FAMILY},\n  "schema_version": 1\n}}')
+        numbers = json.dumps(values)[1:-1].split(", ")  # no number holds ", "
+        return template % (encode_basestring_ascii(self.circuit), *numbers)
 
     def to_json_dict(self) -> dict:
         return {

@@ -69,6 +69,9 @@ class GateKind(Enum):
     def __str__(self) -> str:
         return self.value
 
+    # members are singletons, equal only to themselves: a C-level hash will do
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GateSpec:

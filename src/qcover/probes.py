@@ -16,6 +16,7 @@ expansion of itself, so its condition and decision values coincide.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .ir import Circuit, GateInstruction, GateKind, Probe
@@ -41,13 +42,21 @@ class OriginProbeSet:
     decision_points: tuple[ProbePoint, ...]  # one per origin.controls entry
 
 
-def probe_plan(t: TranspiledCircuit) -> list[OriginProbeSet]:
+# the last circuit planned and its plan, which instrument() and analyze() share
+_last: tuple[weakref.ref, tuple[OriginProbeSet, ...]] | None = None
+
+
+def probe_plan(t: TranspiledCircuit) -> tuple[OriginProbeSet, ...]:
     """Deterministic probe layout for a transpiled circuit.
 
     Shared by instrument() and the coverage analyzer so the label scheme has
-    a single source of truth.
+    a single source of truth; the last circuit object's plan is kept for them.
     """
-    plan: list[OriginProbeSet] = []
+    global _last
+    last = _last
+    if last is not None and last[0]() is t:
+        return last[1]
+    sets: list[OriginProbeSet] = []
     kind_counts: dict[GateKind, int] = {}
     for origin in t.origins:
         gi = kind_counts.get(origin.kind, 0) + 1
@@ -60,7 +69,9 @@ def probe_plan(t: TranspiledCircuit) -> list[OriginProbeSet]:
         decision_points = tuple(
             ProbePoint(k, q, f"{name}_value_{k}", f"{name}_probability_{k}")
             for k, q in enumerate(origin.controls, start=1))
-        plan.append(OriginProbeSet(origin, cx_points, decision_points))
+        sets.append(OriginProbeSet(origin, cx_points, decision_points))
+    plan = tuple(sets)
+    _last = weakref.ref(t), plan
     return plan
 
 

@@ -15,10 +15,11 @@ grammar, restricted to the gate vocabulary in ir.GateKind:
     exp       := additive expression over reals, ints, "pi", parameters,
                  + - * / ^, unary -, and sin/cos/tan/exp/ln/sqrt
 
-The lexer makes one pass over the text.  A token is (type, text, pos), pos
-being its offset in the source; a diagnostic's line and column are computed
-from that offset when the QasmError is built, so a parse that succeeds
-builds no SourceSpan.
+The lexer is one regex scan (findall) that keeps each token as its text;
+the parser reads a token's kind from its text.  A diagnostic names a token
+by its index, and its line and column come from scanning again up to that
+token when the QasmError is built, so a parse that succeeds builds no
+SourceSpan and keeps no offsets.
 
 User-defined `gate` bodies are inlined at call time with parameters folded to
 64-bit floats.  A body may call only builtins and gates declared before it,
@@ -31,10 +32,10 @@ u1 -> p, u3 -> u, u2(phi,lam) -> u(pi/2, phi, lam).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .ir import Circuit, GateInstruction, GateKind, Instruction, SPECS
 
@@ -69,47 +70,42 @@ class SerializationError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<SKIP>     [ \t\r\n]+ | //[^\n]*)
-    | (?P<REAL>     (\d+\.\d*|\.\d+)([eE][+-]?\d+)? | \d+[eE][+-]?\d+)
-    | (?P<INT>      \d+)
-    | (?P<ID>       [a-zA-Z_][a-zA-Z0-9_]*)
-    | (?P<STRING>   "[^"\n]*")
-    | (?P<ARROW>    ->)
-    | (?P<SYM>      [{}\[\]();,+\-*/^=<>!])
-    | (?P<BAD>      [\s\S])
-    """,
-    re.VERBOSE,
-)
+# every token but an unexpected character: real, int, id, string, arrow, symbol
+_GOOD = (r"""(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"""
+         r"""|[a-zA-Z_][a-zA-Z0-9_]*|"[^"\n]*"|->|[{}\[\]();,+\-*/^=<>!]""")
+# whitespace and comments, then one token: a good one, any other character
+# (an error), or "" at the end of the source
+_TOKEN_RE = re.compile(rf"(?:[ \t\r\n]+|//[^\n]*)*({_GOOD}|[\s\S]|\Z)")
+# the one-character good tokens: an unexpected character is none of them
+_SINGLES = frozenset("0123456789_{}[]();,+-*/^=<>!abcdefghijklmnopqrstuvwxyz"
+                     "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NUMBER_START = frozenset("0123456789.")
+# token kinds a parser step can ask for by name; a good token's text tells it
+_KIND = {"id": str.isidentifier, "int": str.isdigit,
+         "string": lambda tok: tok.startswith('"'), "arrow": "->".__eq__}
 
 
-class _Token(NamedTuple):
-    type: str
-    text: str
-    pos: int  # offset of the token's first character in the source
-
-
-def _error(source: str, filename: str, message: str, tok: _Token) -> QasmError:
-    """A diagnostic at tok, with its line and column found from tok.pos."""
-    line_start = source.rfind("\n", 0, tok.pos)  # -1 on the first line
-    col = tok.pos - line_start
-    span = SourceSpan(filename, source.count("\n", 0, tok.pos) + 1,
-                      col, col + max(len(tok.text), 1))
+def _error(source: str, filename: str, message: str, tokens: list[str],
+           at: int) -> QasmError:
+    """A diagnostic at token `at`, placed by scanning the source again up to it."""
+    pos = next(itertools.islice(_TOKEN_RE.finditer(source), at, None)).start(1)
+    line_start = source.rfind("\n", 0, pos)  # -1 on the first line
+    col = pos - line_start
+    span = SourceSpan(filename, source.count("\n", 0, pos) + 1,
+                      col, col + max(len(tokens[at]), 1))
     return QasmError(message, span)
 
 
-def _tokenize(source: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        tok = _Token(kind, m.group(), m.start())
-        if kind == "BAD":
-            raise _error(source, filename, f"unexpected character {tok.text!r}", tok)
-        tokens.append(tok)
-    tokens.append(_Token("EOF", "", len(source)))
+def _tokenize(source: str, filename: str) -> list[str]:
+    """The source's tokens, each as its text, the last "" (the end)."""
+    tokens = _TOKEN_RE.findall(source)
+    if len(tokens) > 1 and not tokens[-2]:
+        del tokens[-1]  # trailing whitespace ended in "", then the end matched
+    bad = [tok for tok in set(tokens).difference(_SINGLES) if len(tok) == 1]
+    if bad:
+        at = min(map(tokens.index, bad))
+        raise _error(source, filename, f"unexpected character {tokens[at]!r}",
+                     tokens, at)
     return tokens
 
 
@@ -128,7 +124,6 @@ class _Reg:
     name: str
     size: int
     offset: int
-    is_qreg: bool
 
 
 @dataclass(frozen=True)
@@ -136,11 +131,16 @@ class _GateDef:
     name: str
     params: tuple[str, ...]
     qargs: tuple[str, ...]
-    # body ops hold unevaluated parameter ASTs so angles fold per call site
-    body: tuple[tuple[str, tuple["_Expr", ...], tuple[str, ...], _Token], ...]
+    # body ops hold unevaluated parameter ASTs so angles fold per call site,
+    # and the index of the op's name token for diagnostics
+    body: tuple[tuple[str, tuple["_Expr", ...], tuple[str, ...], int], ...]
 
 
 _Expr = tuple  # small AST tuples: ("num", v) ("param", name) ("bin", op, l, r) ...
+
+# gate names that map straight to a kind
+_GATES = {kind.value: kind for kind in GateKind
+          if kind not in (GateKind.MEASURE, GateKind.BARRIER)}
 
 
 class _Parser:
@@ -157,56 +157,62 @@ class _Parser:
         self.num_clbits = 0
         self.next_id = 0
 
-    # -- token helpers ----------------------------------------------------
+    # -- token helpers: a token is its text, and a diagnostic names a token
+    # -- by its index ("at"), the current one by default -----------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.type != "EOF":
+        if tok:  # the end stays put
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> QasmError:
-        return _error(self.source, self.filename, message, tok or self.peek())
+    def error(self, message: str, at: int | None = None) -> QasmError:
+        return _error(self.source, self.filename, message, self.tokens,
+                      self.pos if at is None else at)
 
-    def expect(self, type_: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.type != type_ or (text is not None and tok.text != text):
-            want = text or type_.lower()
-            raise self.error(f"expected {want!r}, found {tok.text!r}")
-        return self.advance()
+    def expect(self, text: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}")
+        self.pos += 1
+        return tok
 
-    def accept(self, type_: str, text: str | None = None) -> _Token | None:
-        tok = self.peek()
-        if tok.type == type_ and (text is None or tok.text == text):
-            return self.advance()
-        return None
+    def expect_a(self, kind: str) -> str:
+        """The current token if it is of this _KIND."""
+        tok = self.tokens[self.pos]
+        if not _KIND[kind](tok):
+            raise self.error(f"expected {kind!r}, found {tok!r}")
+        self.pos += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> Circuit:
-        tok = self.expect("ID", "OPENQASM")
-        ver = self.peek()
-        if ver.type not in ("REAL", "INT"):
-            raise self.error("expected version number after OPENQASM")
-        self.advance()
-        if ver.text != "2.0":
+        self.expect("OPENQASM")
+        at = self.pos
+        ver = self.advance()
+        if ver[:1] not in _NUMBER_START:
+            raise self.error("expected version number after OPENQASM", at)
+        if ver != "2.0":
             raise self.error(
-                f"unsupported OpenQASM version {ver.text}; only 2.0 is accepted", ver)
-        self.expect("SYM", ";")
+                f"unsupported OpenQASM version {ver}; only 2.0 is accepted", at)
+        self.expect(";")
 
-        while self.peek().type != "EOF":
+        while self.tokens[self.pos]:
             self.statement()
 
         return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
 
     def statement(self) -> None:
-        tok = self.peek()
-        if tok.type != "ID":
-            raise self.error(f"expected statement, found {tok.text!r}")
-        word = tok.text
+        word = self.tokens[self.pos]
+        if not word.isidentifier():
+            raise self.error(f"expected statement, found {word!r}")
         if word == "include":
             self.include()
         elif word in ("qreg", "creg"):
@@ -228,100 +234,90 @@ class _Parser:
 
     def include(self) -> None:
         self.advance()
-        tok = self.expect("STRING")
-        if tok.text != '"qelib1.inc"':
-            raise self.error(f"unsupported include {tok.text}; only \"qelib1.inc\"", tok)
-        self.expect("SYM", ";")
+        tok = self.expect_a("string")
+        if tok != '"qelib1.inc"':
+            raise self.error(f"unsupported include {tok}; only \"qelib1.inc\"",
+                             self.pos - 1)
+        self.expect(";")
 
     def regdecl(self) -> None:
         kw = self.advance()
-        name_tok = self.expect("ID")
-        name = name_tok.text
+        name_at = self.pos
+        name = self.expect_a("id")
         if name in self.qregs or name in self.cregs:
-            raise self.error(f"register {name!r} already declared", name_tok)
-        self.expect("SYM", "[")
-        size_tok = self.expect("INT")
-        size = int(size_tok.text)
+            raise self.error(f"register {name!r} already declared", name_at)
+        self.expect("[")
+        size = int(self.expect_a("int"))
         if size < 1:
-            raise self.error("register size must be positive", size_tok)
-        self.expect("SYM", "]")
-        self.expect("SYM", ";")
-        if kw.text == "qreg":
-            self.qregs[name] = _Reg(name, size, self.num_qubits, True)
+            raise self.error("register size must be positive", self.pos - 1)
+        self.expect("]")
+        self.expect(";")
+        if kw == "qreg":
+            self.qregs[name] = _Reg(name, size, self.num_qubits)
             self.num_qubits += size
         else:
-            self.cregs[name] = _Reg(name, size, self.num_clbits, False)
+            self.cregs[name] = _Reg(name, size, self.num_clbits)
             self.num_clbits += size
 
     def gatedecl(self) -> None:
         self.advance()
-        name_tok = self.expect("ID")
-        name = name_tok.text
+        name_at = self.pos
+        name = self.expect_a("id")
         params: list[str] = []
-        if self.accept("SYM", "("):
-            if not self.accept("SYM", ")"):
-                params.append(self.expect("ID").text)
-                while self.accept("SYM", ","):
-                    params.append(self.expect("ID").text)
-                self.expect("SYM", ")")
-        qargs = [self.expect("ID").text]
-        while self.accept("SYM", ","):
-            qargs.append(self.expect("ID").text)
-        self.expect("SYM", "{")
-        body: list[tuple[str, tuple, tuple[str, ...], _Token]] = []
-        while not self.accept("SYM", "}"):
-            op_tok = self.expect("ID")
-            if op_tok.text == "barrier":
+        if self.accept("("):
+            if not self.accept(")"):
+                params.append(self.expect_a("id"))
+                while self.accept(","):
+                    params.append(self.expect_a("id"))
+                self.expect(")")
+        qargs = [self.expect_a("id")]
+        while self.accept(","):
+            qargs.append(self.expect_a("id"))
+        self.expect("{")
+        body: list[tuple[str, tuple, tuple[str, ...], int]] = []
+        while not self.accept("}"):
+            op_at = self.pos
+            op = self.expect_a("id")
+            if op == "barrier":
                 # barriers inside gate bodies are dropped (no circuit effect)
-                while not self.accept("SYM", ";"):
-                    if self.peek().type == "EOF":
-                        self.expect("SYM", ";")  # raises: the input ended
+                while not self.accept(";"):
+                    if not self.tokens[self.pos]:
+                        self.expect(";")  # raises: the input ended
                     self.advance()
                 continue
             # OpenQASM 2.0 bodies call only builtins and earlier gates, which
             # also rules out recursion through the gate being declared
-            if not self.is_gate(op_tok.text):
-                raise self.error(f"gate body calls {op_tok.text!r}, which is not a "
-                                 "builtin or previously defined gate", op_tok)
+            if not (op in self._ALIASES or op in self.gate_defs or op in _GATES):
+                raise self.error(f"gate body calls {op!r}, which is not a "
+                                 "builtin or previously defined gate", op_at)
             op_params: list = []
-            if self.accept("SYM", "("):
-                if not self.accept("SYM", ")"):
+            if self.accept("("):
+                if not self.accept(")"):
                     op_params.append(self.expr_ast(params))
-                    while self.accept("SYM", ","):
+                    while self.accept(","):
                         op_params.append(self.expr_ast(params))
-                    self.expect("SYM", ")")
-            op_qargs = [self.expect("ID").text]
-            while self.accept("SYM", ","):
-                op_qargs.append(self.expect("ID").text)
-            self.expect("SYM", ";")
+                    self.expect(")")
+            op_qargs = [self.expect_a("id")]
+            while self.accept(","):
+                op_qargs.append(self.expect_a("id"))
+            self.expect(";")
             for qa in op_qargs:
                 if qa not in qargs:
-                    raise self.error(f"unknown qubit argument {qa!r} in gate body", op_tok)
-            body.append((op_tok.text, tuple(op_params), tuple(op_qargs), op_tok))
+                    raise self.error(f"unknown qubit argument {qa!r} in gate body", op_at)
+            body.append((op, tuple(op_params), tuple(op_qargs), op_at))
         if name in self.gate_defs:
-            raise self.error(f"gate {name!r} already defined", name_tok)
+            raise self.error(f"gate {name!r} already defined", name_at)
         self.gate_defs[name] = _GateDef(name, tuple(params), tuple(qargs), tuple(body))
-
-    def is_gate(self, name: str) -> bool:
-        """Whether apply_single accepts this name (operand counts aside)."""
-        if name in self._ALIASES or name in self.gate_defs:
-            return True
-        try:
-            return GateKind(name) not in (GateKind.MEASURE, GateKind.BARRIER)
-        except ValueError:
-            return False
 
     # -- expressions ------------------------------------------------------
 
-    def expr_ast(self, param_names: list[str] | tuple[str, ...]) -> _Expr:
-        return self._additive(param_names)
-
-    def _additive(self, pn) -> _Expr:
+    def expr_ast(self, pn: list[str] | tuple[str, ...]) -> _Expr:
+        """An additive expression over the parameter names pn."""
         node = self._multiplicative(pn)
         while True:
-            if self.accept("SYM", "+"):
+            if self.accept("+"):
                 node = ("bin", "+", node, self._multiplicative(pn))
-            elif self.accept("SYM", "-"):
+            elif self.accept("-"):
                 node = ("bin", "-", node, self._multiplicative(pn))
             else:
                 return node
@@ -329,65 +325,66 @@ class _Parser:
     def _multiplicative(self, pn) -> _Expr:
         node = self._unary(pn)
         while True:
-            if self.accept("SYM", "*"):
+            if self.accept("*"):
                 node = ("bin", "*", node, self._unary(pn))
-            elif self.accept("SYM", "/"):
+            elif self.accept("/"):
                 node = ("bin", "/", node, self._unary(pn))
             else:
                 return node
 
     def _unary(self, pn) -> _Expr:
-        if self.accept("SYM", "-"):
+        if self.accept("-"):
             return ("neg", self._unary(pn))
-        if self.accept("SYM", "+"):
+        if self.accept("+"):
             return self._unary(pn)
         return self._power(pn)
 
     def _power(self, pn) -> _Expr:
         node = self._atom(pn)
-        if self.accept("SYM", "^"):
+        if self.accept("^"):
             return ("bin", "^", node, self._unary(pn))
         return node
 
     def _atom(self, pn) -> _Expr:
-        tok = self.peek()
-        if tok.type in ("REAL", "INT"):
-            self.advance()
-            return ("num", float(tok.text))
-        if tok.type == "ID":
-            self.advance()
-            if tok.text == "pi":
+        at = self.pos
+        tok = self.tokens[at]
+        if tok[:1] in _NUMBER_START:
+            self.pos += 1
+            return ("num", float(tok))
+        if tok.isidentifier():
+            self.pos += 1
+            if tok == "pi":
                 return ("num", math.pi)
-            if tok.text in _FUNCS:
-                self.expect("SYM", "(")
+            if tok in _FUNCS:
+                self.expect("(")
                 arg = self.expr_ast(pn)
-                self.expect("SYM", ")")
-                return ("fun", tok.text, arg)
-            if tok.text in pn:
-                return ("param", tok.text)
-            raise self.error(f"unknown identifier {tok.text!r} in expression", tok)
-        if self.accept("SYM", "("):
+                self.expect(")")
+                return ("fun", tok, arg)
+            if tok in pn:
+                return ("param", tok)
+            raise self.error(f"unknown identifier {tok!r} in expression", at)
+        if self.accept("("):
             node = self.expr_ast(pn)
-            self.expect("SYM", ")")
+            self.expect(")")
             return node
-        raise self.error(f"expected expression, found {tok.text!r}", tok)
+        raise self.error(f"expected expression, found {tok!r}")
 
-    def eval_expr(self, node: _Expr, env: dict[str, float], tok: _Token) -> float:
+    def eval_expr(self, node: _Expr, env: dict[str, float], at: int) -> float:
         tag = node[0]
         if tag == "num":
             return node[1]
         if tag == "param":
             return env[node[1]]
         if tag == "neg":
-            return -self.eval_expr(node[1], env, tok)
+            return -self.eval_expr(node[1], env, at)
         if tag == "fun":
             try:
-                return _FUNCS[node[1]](self.eval_expr(node[2], env, tok))
+                return _FUNCS[node[1]](self.eval_expr(node[2], env, at))
             except (ValueError, OverflowError) as exc:
-                raise self.error(f"math error in parameter: {exc}", tok) from None
+                raise self.error(f"math error in parameter: {exc}", at) from None
         _, op, left, right = node
-        a = self.eval_expr(left, env, tok)
-        b = self.eval_expr(right, env, tok)
+        a = self.eval_expr(left, env, at)
+        b = self.eval_expr(right, env, at)
         try:
             if op == "+":
                 return a + b
@@ -397,75 +394,76 @@ class _Parser:
                 return a * b
             if op == "/":
                 if b == 0.0:
-                    raise self.error("division by zero in parameter", tok)
+                    raise self.error("division by zero in parameter", at)
                 return a / b
             value = a ** b
             if isinstance(value, complex):  # negative base, fractional power
-                raise self.error("parameter expression is not real", tok)
+                raise self.error("parameter expression is not real", at)
             return value
         except (OverflowError, ZeroDivisionError) as exc:
-            raise self.error(f"math error in parameter: {exc}", tok) from None
+            raise self.error(f"math error in parameter: {exc}", at) from None
 
     # -- quantum operations -----------------------------------------------
 
     def argument(self, want_qreg: bool) -> list[int]:
         """Resolve `reg` or `reg[i]` to a list of flat indices."""
-        name_tok = self.expect("ID")
-        regs = self.qregs if want_qreg else self.cregs
-        reg = regs.get(name_tok.text)
+        name_at = self.pos
+        name = self.expect_a("id")
+        reg = (self.qregs if want_qreg else self.cregs).get(name)
         if reg is None:
             what = "quantum" if want_qreg else "classical"
-            raise self.error(f"undeclared {what} register {name_tok.text!r}", name_tok)
-        if self.accept("SYM", "["):
-            idx_tok = self.expect("INT")
-            idx = int(idx_tok.text)
+            raise self.error(f"undeclared {what} register {name!r}", name_at)
+        if self.accept("["):
+            idx = int(self.expect_a("int"))
             if idx >= reg.size:
                 raise self.error(
-                    f"index {idx} out of range for {reg.name}[{reg.size}]", idx_tok)
-            self.expect("SYM", "]")
+                    f"index {idx} out of range for {reg.name}[{reg.size}]", self.pos - 1)
+            self.expect("]")
             return [reg.offset + idx]
         return [reg.offset + i for i in range(reg.size)]
 
     def measure(self) -> None:
-        tok = self.advance()
+        at = self.pos
+        self.advance()
         src = self.argument(want_qreg=True)
-        self.expect("ARROW")
+        self.expect_a("arrow")
         dst = self.argument(want_qreg=False)
-        self.expect("SYM", ";")
+        self.expect(";")
         if len(src) != len(dst):
-            raise self.error("measure arguments have mismatched sizes", tok)
+            raise self.error("measure arguments have mismatched sizes", at)
         for q, c in zip(src, dst):
-            self.emit(GateKind.MEASURE, (), (q,), (c,), tok)
+            self.emit(GateKind.MEASURE, (), (q,), (c,), at)
 
     def barrier(self) -> None:
-        tok = self.advance()
+        at = self.pos
+        self.advance()
         qubits = self.argument(want_qreg=True)
-        while self.accept("SYM", ","):
+        while self.accept(","):
             qubits.extend(self.argument(want_qreg=True))
-        self.expect("SYM", ";")
-        self.emit(GateKind.BARRIER, (), tuple(qubits), (), tok)
+        self.expect(";")
+        self.emit(GateKind.BARRIER, (), tuple(qubits), (), at)
 
     _ALIASES = {"U": ("u", 3), "CX": ("cx", 0), "u1": ("p", 1),
                 "u2": ("u2", 2), "u3": ("u", 3)}
 
     def uop(self) -> None:
-        name_tok = self.advance()
-        name = name_tok.text
+        at = self.pos
+        name = self.advance()
         params: list[float] = []
-        if self.accept("SYM", "("):
-            if not self.accept("SYM", ")"):
-                params.append(self.eval_expr(self.expr_ast(()), {}, name_tok))
-                while self.accept("SYM", ","):
-                    params.append(self.eval_expr(self.expr_ast(()), {}, name_tok))
-                self.expect("SYM", ")")
+        if self.accept("("):
+            if not self.accept(")"):
+                params.append(self.eval_expr(self.expr_ast(()), {}, at))
+                while self.accept(","):
+                    params.append(self.eval_expr(self.expr_ast(()), {}, at))
+                self.expect(")")
         args = [self.argument(want_qreg=True)]
-        while self.accept("SYM", ","):
+        while self.accept(","):
             args.append(self.argument(want_qreg=True))
-        self.expect("SYM", ";")
-        self.apply_named(name, params, args, name_tok)
+        self.expect(";")
+        self.apply_named(name, params, args, at)
 
     def apply_named(self, name: str, params: list[float],
-                    args: list[list[int]], tok: _Token) -> None:
+                    args: list[list[int]], at: int) -> None:
         """Apply a gate by name to (possibly register-wide) argument lists."""
         # OpenQASM broadcast rule: whole registers must share one length and
         # single qubits repeat across it.
@@ -473,70 +471,67 @@ class _Parser:
         for a in args:
             if len(a) > 1:
                 if length not in (1, len(a)):
-                    raise self.error("mismatched register sizes in gate operands", tok)
+                    raise self.error("mismatched register sizes in gate operands", at)
                 length = len(a)
         for i in range(length):
             operands = tuple(a[i] if len(a) > 1 else a[0] for a in args)
-            self.apply_single(name, params, operands, tok)
+            self.apply_single(name, params, operands, at)
 
     def apply_single(self, name: str, params: list[float],
-                     qubits: tuple[int, ...], tok: _Token) -> None:
+                     qubits: tuple[int, ...], at: int) -> None:
         if name in self._ALIASES:
             target, nparams = self._ALIASES[name]
             if len(params) != nparams:
                 raise self.error(
-                    f"{name} takes {nparams} parameter(s), got {len(params)}", tok)
+                    f"{name} takes {nparams} parameter(s), got {len(params)}", at)
             if target == "u2":
-                self.apply_single("u", [math.pi / 2, params[0], params[1]], qubits, tok)
+                self.apply_single("u", [math.pi / 2, params[0], params[1]], qubits, at)
             else:
-                self.apply_single(target, params, qubits, tok)
+                self.apply_single(target, params, qubits, at)
             return
         if name in self.gate_defs:
-            self.inline_call(self.gate_defs[name], params, qubits, tok)
+            self.inline_call(self.gate_defs[name], params, qubits, at)
             return
-        try:
-            kind = GateKind(name)
-        except ValueError:
-            raise self.error(f"unsupported gate {name!r}", tok) from None
-        if kind in (GateKind.MEASURE, GateKind.BARRIER):
-            raise self.error(f"unsupported gate {name!r}", tok)
+        kind = _GATES.get(name)
+        if kind is None:
+            raise self.error(f"unsupported gate {name!r}", at)
         spec = SPECS[kind]
         if len(params) != spec.num_params:
             raise self.error(
-                f"{name} takes {spec.num_params} parameter(s), got {len(params)}", tok)
+                f"{name} takes {spec.num_params} parameter(s), got {len(params)}", at)
         if len(qubits) != spec.num_qubits:
             raise self.error(
-                f"{name} takes {spec.num_qubits} qubit(s), got {len(qubits)}", tok)
+                f"{name} takes {spec.num_qubits} qubit(s), got {len(qubits)}", at)
         if len(set(qubits)) != len(qubits):
-            raise self.error(f"duplicate qubit operand in {name}", tok)
-        self.emit(kind, tuple(params), qubits, (), tok)
+            raise self.error(f"duplicate qubit operand in {name}", at)
+        self.emit(kind, tuple(params), qubits, (), at)
 
     def inline_call(self, gd: _GateDef, params: list[float],
-                    qubits: tuple[int, ...], tok: _Token) -> None:
+                    qubits: tuple[int, ...], at: int) -> None:
         if len(params) != len(gd.params):
             raise self.error(
-                f"{gd.name} takes {len(gd.params)} parameter(s), got {len(params)}", tok)
+                f"{gd.name} takes {len(gd.params)} parameter(s), got {len(params)}", at)
         if len(qubits) != len(gd.qargs):
             raise self.error(
-                f"{gd.name} takes {len(gd.qargs)} qubit(s), got {len(qubits)}", tok)
+                f"{gd.name} takes {len(gd.qargs)} qubit(s), got {len(qubits)}", at)
         env = dict(zip(gd.params, params))
         qmap = dict(zip(gd.qargs, qubits))
-        for op_name, op_params, op_qargs, op_tok in gd.body:
-            values = [self.eval_expr(ast, env, op_tok) for ast in op_params]
+        for op_name, op_params, op_qargs, op_at in gd.body:
+            values = [self.eval_expr(ast, env, op_at) for ast in op_params]
             operands = tuple(qmap[qa] for qa in op_qargs)
-            self.apply_single(op_name, values, operands, op_tok)
+            self.apply_single(op_name, values, operands, op_at)
 
     def emit(self, kind: GateKind, params: tuple[float, ...],
-             qubits: tuple[int, ...], clbits: tuple[int, ...],
-             tok: _Token) -> None:
+             qubits: tuple[int, ...], clbits: tuple[int, ...], at: int) -> None:
         # the one check for every call: top-level, alias or inlined body
         for value in params:
             if not math.isfinite(value):
-                raise self.error(f"{tok.text} parameter {value!r} is not finite", tok)
+                raise self.error(
+                    f"{self.tokens[at]} parameter {value!r} is not finite", at)
         try:
             instr = GateInstruction(self.next_id, kind, qubits, params, clbits)
         except ValueError as exc:
-            raise self.error(str(exc), tok) from None
+            raise self.error(str(exc), at) from None
         self.instructions.append(instr)
         self.next_id += 1
 

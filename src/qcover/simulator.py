@@ -8,8 +8,9 @@ the axis orders and the tiles once and returns a step that applies the gate
 in place (barrier and id share one that does nothing; measure has none).
 gate_ops() is a circuit's gate list, the kernel() arguments of every
 instruction but measurements and barriers; statevector_of() applies it, and
-the mutation judge reads it once per circuit.  Steps apply gates through
-stride-based views:
+the mutation judge reads it once per circuit.  run() builds one step per
+distinct gate of a circuit and reuses it while the state is too small for
+tiles.  Steps apply gates through stride-based views:
 
 - the monomial kinds, whose matrix has one nonzero entry per row, each in
   {1, -1, 1j, -1j} (x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx
@@ -86,6 +87,14 @@ def zero_state(num_qubits: int) -> np.ndarray:
 def marginal(state: np.ndarray, qubit: int) -> tuple[float, float]:
     """Z-basis probabilities (p0, p1) of one qubit."""
     view = state.reshape(-1, 2, 1 << qubit)
+    if state.size <= 2 * _BLOCK:
+        # both halves in one abs and one square, into a (2, high, low) buffer
+        # in C order: each half sums as one contiguous row, as below
+        halves = view.transpose(1, 0, 2)
+        buf = np.abs(halves, out=np.empty(halves.shape))
+        np.square(buf, out=buf)
+        return tuple(np.add.reduce(buf.reshape(2, -1), axis=1).tolist())
+    # a larger state one half at a time, in half the scratch
     buf = np.empty(view[:, 0, :].shape)
     probs = []
     for half in (view[:, 0, :], view[:, 1, :]):
@@ -101,8 +110,7 @@ _BLOCK = 1 << 12
 
 # one-qubit kinds with a diagonal matrix other than z (a monomial kind): each
 # half is scaled, never mixed
-_DIAGONAL = frozenset((GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
-                       GateKind.RZ))
+_DIAGONAL = (GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG, GateKind.RZ)
 
 Step = Callable[[np.ndarray], None]
 
@@ -172,9 +180,9 @@ def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
 
 
 # x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx and rcccx.  s and its
-# relatives stay out: exp(i*pi/2) is not exactly 1j.  run() builds a step
-# for every gate it applies, and on a small state working out the sector
-# indices costs about as much as applying a cx, so it is done here, once.
+# relatives stay out: exp(i*pi/2) is not exactly 1j.  On a small state
+# working out the sector indices costs about as much as applying a cx, so it
+# is done here, once.
 _MONOMIAL = _monomial_kinds()
 
 
@@ -209,7 +217,8 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
     if plans is not None:
         return _monomial(plans, qubits, num_qubits)
     mat = gates.matrix(kind, params)
-    if kind in _DIAGONAL:
+    # not on one qubit, where each half is one amplitude: see _dense_1q
+    if kind in _DIAGONAL and num_qubits > 1:
         return _diagonal(mat, qubits[0])
     if len(qubits) == 1:
         return _dense_1q(mat, qubits[0], num_qubits)
@@ -338,8 +347,8 @@ def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
             buf = np.multiply(m01, hi)
             np.add(new_lo, buf, out=new_lo)
             np.multiply(m10, lo, out=buf)
-            np.multiply(m11, hi, out=hi)
-            np.add(buf, hi, out=hi)
+            # not in place: numpy rounds an in-place product of one element apart
+            np.add(buf, np.multiply(m11, hi), out=hi)
             lo[...] = new_lo
         return step
 
@@ -429,6 +438,10 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     measurements: dict[int, int] = {}
     # marginals read since the last non-probe instruction, by qubit
     reads: dict[int, tuple[float, float]] = {}
+    # a step per distinct gate, kept while none is tiled (tiles take memory);
+    # params with a zero go by repr: 0.0 == -0.0, yet they round apart
+    steps: dict[tuple, Step] = {}
+    keep = 1 << n <= 2 * _BLOCK
     for instr in circuit.instructions:
         if isinstance(instr, Probe):
             if instr.label in log:
@@ -439,10 +452,15 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
             log[instr.label] = (p0 - p1) if instr.mode == "expectation" else (p0, p1)
             continue
         reads.clear()
-        if instr.kind is GateKind.MEASURE:
-            measurements[instr.clbits[0]] = _measure(state, instr.qubits[0], rng)
+        kind, params, qubits = instr.kind, instr.params, instr.qubits
+        if kind is GateKind.MEASURE:
+            measurements[instr.clbits[0]] = _measure(state, qubits[0], rng)
             continue
-        apply_gate(state, instr.kind, instr.params, instr.qubits)
+        key = (kind, repr(params) if 0.0 in params else params, qubits)
+        step = steps.get(key) or kernel(kind, params, qubits, n)
+        if keep:
+            steps[key] = step
+        step(state)
     _check_norm(state)
     return RunResult(state, log, measurements)
 

@@ -53,11 +53,8 @@ class DecompositionRule:
 
     def expand(self, params: tuple[float, ...],
                qubits: tuple[int, ...]) -> list[tuple[GateKind, tuple[float, ...], tuple[int, ...]]]:
-        out = []
-        for op in self.template:
-            values = tuple(p(params) if callable(p) else p for p in op.params)
-            out.append((op.kind, values, tuple(qubits[i] for i in op.operands)))
-        return out
+        return [(op.kind, tuple([p(params) if callable(p) else p for p in op.params]),
+                 tuple([qubits[i] for i in op.operands])) for op in self.template]
 
 
 # ---------------------------------------------------------------------------

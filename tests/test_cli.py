@@ -253,6 +253,29 @@ def test_console_script_entry():
     assert "swap_test.qasm" in result.stdout
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # GateKind hashes by identity, and no set of kinds or of strings is ever
+    # iterated into an output, so the string hash seed must not show
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        got = []
+        for argv in (["cover", str(CORPUS), "--summary", "--json", str(out / "json")],
+                     ["mutate", str(CORPUS), "--csv", str(out / "campaign.csv")]):
+            result = subprocess.run([sys.executable, "-m", "qcover.cli", *argv],
+                                    capture_output=True, check=False, env=env)
+            assert result.returncode == 0, result.stderr
+            got.append((argv[0], result.stdout))
+        files = sorted((out / "json").glob("*.json")) + [out / "campaign.csv"]
+        got += [(path.name, path.read_bytes()) for path in files]
+        outputs.append(got)
+    assert len(outputs[0]) == 2 + 12 + 1
+    assert outputs[0] == outputs[1]
+
+
 def test_time_limit_skips_without_failing(capsys):
     # a zero budget trips immediately; the batch still succeeds
     assert main(["cover", SWAP, str(CORPUS / "bell_pair.qasm"),
@@ -380,6 +403,46 @@ def test_json_write_failing_mid_batch_stops_the_json_only(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["bell_pair.json", "swap_test.json"]
     assert json.loads((out_dir / "bell_pair.json").read_text())["circuit"] == "bell_pair.qasm"
     assert not any(blocked.iterdir())
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_jobs_pool_keeps_two_inputs_per_worker_in_flight(jobs, monkeypatch, capsys):
+    # inputs submitted and not yet shown, counted at every submit: a result
+    # is read just before it is shown
+    in_flight, counts = [0], []
+
+    class Shown(Future):
+        def result(self, timeout=None):
+            in_flight[0] -= 1
+            return super().result(timeout)
+
+    class CountingPool:
+        """Runs each call at once in this process and counts what is in flight."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            in_flight[0] += 1
+            counts.append(in_flight[0])
+            future = Shown()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    assert main(["cover", str(CORPUS), "--summary", "--jobs", str(jobs)]) == 0
+    pooled = capsys.readouterr().out
+    assert len(counts) == 12
+    assert max(counts) == 2 * jobs
+    assert in_flight == [0]
+    assert main(["cover", str(CORPUS), "--summary"]) == 0
+    assert capsys.readouterr().out == pooled
 
 
 @pytest.mark.parametrize("command, output", [

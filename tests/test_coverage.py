@@ -1,6 +1,8 @@
 """Outcome classification and the nine metrics."""
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +12,21 @@ from hypothesis import strategies as st
 from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.coverage import (
     AnalysisError,
+    ConditionOutcome,
+    CoverageReport,
+    DecisionOutcome,
     analyze,
     classify_condition,
     classify_decision,
 )
 from qcover.probes import instrument
 from qcover.ir import GateKind
-from qcover.qasm import parse
+from qcover.qasm import parse, parse_file
 from qcover.simulator import run
 from qcover.transpiler import transpile
 
 EPS = 1e-9
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _report_for(circuit, name="c", seed=0):
@@ -305,3 +311,49 @@ def test_balanced_control_superposition_gives_full_jain():
         assert report.jain_condition == pytest.approx(100.0, abs=1e-6), kind
         assert report.jain_decision == pytest.approx(100.0, abs=1e-6), kind
         assert report.jain_path == pytest.approx(100.0, abs=1e-6), kind
+
+
+# -- the --json writer ---------------------------------------------------------
+
+def _json_dumps(report) -> str:
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+
+
+def test_json_text_matches_json_dumps_on_corpus_and_random_circuits():
+    reports = [_report_for(parse_file(str(path)), path.name)
+               for path in sorted(CORPUS.glob("*.qasm"))]
+    rng = np.random.default_rng(19)
+    reports += [_report_for(random_circuit(rng), f"r{i}.qasm") for i in range(200)]
+    assert sum(bool(r.per_cx) for r in reports) > 150
+    for report in reports:
+        assert report.to_json_text() == _json_dumps(report), report.circuit
+
+
+def test_json_text_of_a_sequential_circuit_has_empty_lists():
+    report = _report_for(build(2, 0, [(GateKind.H, (0,)), (GateKind.X, (1,))]))
+    assert report.per_gate == report.per_cx == ()
+    assert '"per_cx": [],' in report.to_json_text()
+    assert report.to_json_text() == _json_dumps(report)
+
+
+def test_json_text_escapes_the_circuit_name():
+    name = 'quote " back \\ tab \t é ☃ 𝒬.qasm'
+    report = _report_for(parse(SWAP_TEST_QASM), name)
+    text = report.to_json_text()
+    assert text == _json_dumps(report)
+    assert text.isascii() and json.loads(text)["circuit"] == name
+
+
+def test_json_text_spells_nan_and_infinities_as_json_does():
+    inf, nan = math.inf, math.nan
+    report = CoverageReport(
+        "odd.qasm", 2, 2, 2, 3, nan, inf, -inf, 0.0, -0.0, 1e-320, 1e300,
+        100.0, 5e-324,
+        per_gate=(DecisionOutcome(0, 1, 1, nan, inf, (-inf, nan, 0.5)),
+                  DecisionOutcome(4, 0, 1, 0.0, 1.0, ())),
+        per_cx=(ConditionOutcome(0, 1, 1, 0, -inf, nan),
+                ConditionOutcome(4, 1, 0, 1, 1 / 3, 2 / 3)))
+    text = report.to_json_text()
+    assert text == _json_dumps(report)
+    for word in ("NaN", "Infinity", "-Infinity", '"controls": []'):
+        assert word in text

@@ -1,10 +1,16 @@
 """Probe insertion: labels, placement, counts, and stripping."""
+import gc
+import weakref
+
 import numpy as np
 
 from corpus_util import SWAP_TEST_QASM, build, circuits_equal, random_circuit
+from qcover import probes
+from qcover.coverage import analyze
 from qcover.probes import instrument, strip_probes, render
 from qcover.ir import GateKind, Probe, validate
 from qcover.qasm import parse
+from qcover.simulator import run
 from qcover.transpiler import transpile
 
 
@@ -123,3 +129,23 @@ def test_render_marks_probes_as_comments():
     text = render(probed)
     assert text.count("// probe") == 16
     assert "label=cswap_1_cx_1_value" in text
+
+
+def test_instrument_and_analyze_build_one_plan_per_circuit_object(monkeypatch):
+    made = []
+    real = probes.OriginProbeSet
+    monkeypatch.setattr(probes, "OriginProbeSet",
+                        lambda *fields: made.append(fields) or real(*fields))
+    circuit = parse(SWAP_TEST_QASM + "ccx q[0],q[1],q[2];\n")
+    for objects in (1, 2):
+        t = transpile(circuit)
+        analyze(run(instrument(t)).probes, t)
+        # two origins, planned once per transpiled object
+        assert len(t.origins) == 2 and len(made) == 2 * objects
+    # the plan kept is the last circuit's, and it does not keep that alive
+    plan = probes.probe_plan(t)
+    assert probes.probe_plan(t) is plan
+    ref = weakref.ref(t)
+    del t
+    gc.collect()
+    assert ref() is None

@@ -76,13 +76,7 @@ def test_kernel_matches_oracle_on_one_to_three_qubits(kind):
                 kernel_oracle.apply_gate(want, kind, params, qubits)
                 simulator.apply_gate(wrapped, kind, params, qubits)
                 assert got.tobytes() == wrapped.tobytes(), (kind, width, qubits)
-                if width == 1:
-                    # numpy's in-place multiply of a one-element array rounds
-                    # differently from its vector loop, so the 2x2 product of
-                    # _dense_1q can differ from the oracle's in the last bit
-                    assert np.max(np.abs(got - want)) <= 1e-15, (kind, qubits)
-                else:
-                    assert np.array_equal(got, want), (kind, width, qubits)
+                assert np.array_equal(got, want), (kind, width, qubits)
 
 
 def test_wide_circuit_with_the_default_tiles_matches_oracle():

@@ -9,6 +9,7 @@ from corpus_util import SWAP_TEST_QASM, build, random_circuit
 from qcover.probes import instrument, strip_probes
 from qcover.ir import Circuit, GateInstruction, GateKind, Probe
 from qcover.qasm import parse
+from qcover import simulator
 from qcover.simulator import (
     SimulationError,
     apply_gate,
@@ -201,3 +202,55 @@ def test_fidelity_global_phase_invariant():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.exp(1j * 0.7) * a
     assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+def _counting_kernel(monkeypatch) -> list:
+    """Patch simulator.kernel to record the arguments of every step it builds."""
+    built = []
+    real = simulator.kernel
+
+    def kernel(kind, params, qubits, num_qubits):
+        built.append((kind, params, qubits))
+        return real(kind, params, qubits, num_qubits)
+
+    monkeypatch.setattr(simulator, "kernel", kernel)
+    return built
+
+
+def test_run_builds_one_step_per_distinct_gate(monkeypatch):
+    source = ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n"
+              + "h q[0];\ncx q[0],q[1];\nrz(0.5) q[2];\ncx q[0],q[1];\n" * 4
+              + "cx q[1],q[0];\nrz(0.25) q[2];\nh q[0];\n")
+    t = transpile(parse(source))
+    built = _counting_kernel(monkeypatch)
+    result = run(instrument(t))
+    circuit = t.circuit
+    ops = [(i.kind, i.params, i.qubits) for i in circuit.instructions]
+    assert len(ops) > len(set(ops))
+    assert sorted(built, key=repr) == sorted(set(ops), key=repr)
+    assert result.state.tobytes() == statevector_of(circuit).tobytes()
+
+
+def test_run_keeps_the_steps_of_zero_and_negative_zero_apart(monkeypatch):
+    # 0.0 == -0.0, but u(-0, 0, pi) leaves -0.0 where u(0, 0, pi) leaves 0.0
+    source = ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\n"
+              "u(0,0,pi) q[0];\nu(-0,0,pi) q[0];\n")
+    built = _counting_kernel(monkeypatch)
+    for repeats in (1, 3):
+        built.clear()
+        circuit = parse(source + "u(-0,0,pi) q[0];\n" * (repeats - 1))
+        state = run(circuit).state
+        assert len(built) == 2
+        assert state.tobytes() == statevector_of(circuit).tobytes()
+    assert math.copysign(1.0, run(parse(source)).state[1].real) == -1.0
+
+
+@pytest.mark.parametrize("past_the_tiles", [False, True])
+def test_run_keeps_no_step_on_tiled_states(past_the_tiles, monkeypatch):
+    # past 2 * _BLOCK amplitudes a one-qubit step holds its tiles: there
+    # each gate builds its step anew
+    n = (2 * simulator._BLOCK).bit_length() - 1 + past_the_tiles
+    circuit = build(n, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, n - 1))] * 3)
+    built = _counting_kernel(monkeypatch)
+    run(circuit)
+    assert len(built) == (6 if past_the_tiles else 2)
