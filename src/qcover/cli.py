@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import signal
 import statistics
@@ -195,8 +194,7 @@ def _run_batch(paths: list[Path], args, worker, show) -> int:
     """Run worker(path, args) over the input paths and show each result.
 
     With --jobs above 1 the inputs run in a process pool of at most one
-    worker per input, with at most two inputs per worker submitted and not
-    yet shown.  Either way each result is shown as soon as it and
+    worker per input.  Either way each result is shown as soon as it and
     every earlier one are ready, in input order, and nothing of it is kept
     after show returns.  Each input runs under _limited in the process
     that runs it.  A failed input prints one error line and makes the exit
@@ -220,15 +218,11 @@ def _run_batch(paths: list[Path], args, worker, show) -> int:
             show(path, result)
 
     if args.jobs > 1 and len(paths) > 1:
-        workers = min(args.jobs, len(paths))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # at most 2 * workers inputs submitted and not yet shown; a shown
-            # future is dropped, and its result with it
-            unsubmitted = iter(paths)
-            pending: deque = deque()
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+            # a shown future is dropped, and its result with it
+            pending = deque(pool.submit(_limited, worker, path, args)
+                            for path in paths)
             for path in paths:
-                for ahead in itertools.islice(unsubmitted, 2 * workers - len(pending)):
-                    pending.append(pool.submit(_limited, worker, ahead, args))
                 settle(path, pending.popleft().result)
     else:
         for path in paths:

@@ -42,8 +42,15 @@ class OriginProbeSet:
     decision_points: tuple[ProbePoint, ...]  # one per origin.controls entry
 
 
-# the last circuit planned and its plan, which instrument() and analyze() share
+# the last circuit planned and its plan, which instrument() and analyze()
+# share; the plan goes with its circuit, as mutation._shared_prefix's run does
 _last: tuple[weakref.ref, tuple[OriginProbeSet, ...]] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
 
 
 def probe_plan(t: TranspiledCircuit) -> tuple[OriginProbeSet, ...]:
@@ -71,7 +78,7 @@ def probe_plan(t: TranspiledCircuit) -> tuple[OriginProbeSet, ...]:
             for k, q in enumerate(origin.controls, start=1))
         sets.append(OriginProbeSet(origin, cx_points, decision_points))
     plan = tuple(sets)
-    _last = weakref.ref(t), plan
+    _last = weakref.ref(t, _forget), plan
     return plan
 
 

@@ -76,12 +76,12 @@ _GOOD = (r"""(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+|\d+"""
 # whitespace and comments, then one token: a good one, any other character
 # (an error), or "" at the end of the source
 _TOKEN_RE = re.compile(rf"(?:[ \t\r\n]+|//[^\n]*)*({_GOOD}|[\s\S]|\Z)")
-# the one-character good tokens: an unexpected character is none of them
-_SINGLES = frozenset("0123456789_{}[]();,+-*/^=<>!abcdefghijklmnopqrstuvwxyz"
-                     "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NUMBER_START = frozenset("0123456789.")
+_GOOD_RE = re.compile(_GOOD)
+
 # token kinds a parser step can ask for by name; a good token's text tells it
+# (a number starts with "." or with any decimal digit, all of which \d takes)
 _KIND = {"id": str.isidentifier, "int": str.isdigit,
+         "number": lambda tok: tok[:1].isdecimal() or tok[:1] == ".",
          "string": lambda tok: tok.startswith('"'), "arrow": "->".__eq__}
 
 
@@ -101,7 +101,8 @@ def _tokenize(source: str, filename: str) -> list[str]:
     tokens = _TOKEN_RE.findall(source)
     if len(tokens) > 1 and not tokens[-2]:
         del tokens[-1]  # trailing whitespace ended in "", then the end matched
-    bad = [tok for tok in set(tokens).difference(_SINGLES) if len(tok) == 1]
+    # an unexpected character is a one-character token that is not a good one
+    bad = [tok for tok in set(tokens) if len(tok) == 1 and not _GOOD_RE.fullmatch(tok)]
     if bad:
         at = min(map(tokens.index, bad))
         raise _error(source, filename, f"unexpected character {tokens[at]!r}",
@@ -197,7 +198,7 @@ class _Parser:
         self.expect("OPENQASM")
         at = self.pos
         ver = self.advance()
-        if ver[:1] not in _NUMBER_START:
+        if not _KIND["number"](ver):
             raise self.error("expected version number after OPENQASM", at)
         if ver != "2.0":
             raise self.error(
@@ -348,7 +349,7 @@ class _Parser:
     def _atom(self, pn) -> _Expr:
         at = self.pos
         tok = self.tokens[at]
-        if tok[:1] in _NUMBER_START:
+        if _KIND["number"](tok):
             self.pos += 1
             return ("num", float(tok))
         if tok.isidentifier():

@@ -456,10 +456,13 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
         if kind is GateKind.MEASURE:
             measurements[instr.clbits[0]] = _measure(state, qubits[0], rng)
             continue
-        key = (kind, repr(params) if 0.0 in params else params, qubits)
-        step = steps.get(key) or kernel(kind, params, qubits, n)
         if keep:
-            steps[key] = step
+            key = (kind, repr(params) if 0.0 in params else params, qubits)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = kernel(kind, params, qubits, n)
+        else:
+            step = kernel(kind, params, qubits, n)
         step(state)
     _check_norm(state)
     return RunResult(state, log, measurements)

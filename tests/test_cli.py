@@ -405,46 +405,6 @@ def test_json_write_failing_mid_batch_stops_the_json_only(tmp_path, capsys):
     assert not any(blocked.iterdir())
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
-def test_jobs_pool_keeps_two_inputs_per_worker_in_flight(jobs, monkeypatch, capsys):
-    # inputs submitted and not yet shown, counted at every submit: a result
-    # is read just before it is shown
-    in_flight, counts = [0], []
-
-    class Shown(Future):
-        def result(self, timeout=None):
-            in_flight[0] -= 1
-            return super().result(timeout)
-
-    class CountingPool:
-        """Runs each call at once in this process and counts what is in flight."""
-
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            in_flight[0] += 1
-            counts.append(in_flight[0])
-            future = Shown()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    assert main(["cover", str(CORPUS), "--summary", "--jobs", str(jobs)]) == 0
-    pooled = capsys.readouterr().out
-    assert len(counts) == 12
-    assert max(counts) == 2 * jobs
-    assert in_flight == [0]
-    assert main(["cover", str(CORPUS), "--summary"]) == 0
-    assert capsys.readouterr().out == pooled
-
-
 @pytest.mark.parametrize("command, output", [
     (["cover", "--summary", "--json"], "reports"),
     (["mutate", "--csv"], "campaign.csv"),

@@ -142,10 +142,12 @@ def test_instrument_and_analyze_build_one_plan_per_circuit_object(monkeypatch):
         analyze(run(instrument(t)).probes, t)
         # two origins, planned once per transpiled object
         assert len(t.origins) == 2 and len(made) == 2 * objects
-    # the plan kept is the last circuit's, and it does not keep that alive
+    # the plan kept is the last circuit's; it does not keep that alive, and
+    # it goes when the circuit goes
     plan = probes.probe_plan(t)
     assert probes.probe_plan(t) is plan
     ref = weakref.ref(t)
     del t
     gc.collect()
     assert ref() is None
+    assert probes._last is None

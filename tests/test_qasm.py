@@ -319,6 +319,16 @@ def test_successful_parse_builds_no_span(monkeypatch):
         parse_file(str(path))
 
 
+def test_non_ascii_decimal_digits_are_numbers():
+    # \d matches any decimal digit, so these lex as numbers, as in the oracle
+    source = 'OPENQASM 2.0;\nqreg q[\u0663];\nrx(\u0661) q[0];\nrz(\u0661.\u0665) q[2];\n'
+    assert qasm._tokenize(source, "m.qasm") == [
+        t.text for t in lexer_oracle.tokenize(source, "m.qasm")]
+    circuit = parse(source)
+    assert circuit.num_qubits == 3
+    assert [i.params for i in circuit.instructions] == [(1.0,), (1.5,)]
+
+
 def _mutated_corpus_sources(seed: int, count: int):
     """Corpus files with a few characters inserted, deleted or replaced."""
     rng = np.random.default_rng(seed)
@@ -353,7 +363,7 @@ def _kind_read(text: str) -> str:
             return kind.upper()
     if not text:
         return "EOF"
-    return "REAL" if text[0] in qasm._NUMBER_START else "SYM"
+    return "REAL" if qasm._KIND["number"](text) else "SYM"
 
 
 def test_lexer_matches_oracle():
