@@ -442,6 +442,8 @@ class _Parser:
         while self.accept(","):
             qubits.extend(self.argument(want_qreg=True))
         self.expect(";")
+        if len(set(qubits)) != len(qubits):
+            raise self.error("duplicate qubit operand in barrier", at)
         self.emit(GateKind.BARRIER, (), tuple(qubits), (), at)
 
     _ALIASES = {"U": ("u", 3), "CX": ("cx", 0), "u1": ("p", 1),

@@ -8,9 +8,9 @@ the axis orders and the tiles once and returns a step that applies the gate
 in place (barrier and id share one that does nothing; measure has none).
 gate_ops() is a circuit's gate list, the kernel() arguments of every
 instruction but measurements and barriers; statevector_of() applies it, and
-the mutation judge reads it once per circuit.  run() builds one step per
-distinct gate of a circuit and reuses it while the state is too small for
-tiles.  Steps apply gates through stride-based views:
+the mutation judge reads it once per circuit.  run() and statevector_of()
+build one step per distinct gate of a circuit and reuse it while the state
+is too small for tiles.  Steps apply gates through stride-based views:
 
 - the monomial kinds, whose matrix has one nonzero entry per row, each in
   {1, -1, 1j, -1j} (x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx
@@ -21,24 +21,56 @@ tiles.  Steps apply gates through stride-based views:
   (rz both halves);
 - every other one-qubit kind takes a dense 2x2 kernel;
 - every other multi-qubit kind takes a tensor kernel (BLAS matmul) over a
-  view with one axis per operand and one per gap between operands.
+  view with one axis per operand and one per gap between operands; a
+  controlled kind whose matrix is the identity off its controls-one rows
+  (_SECTOR: all but rccx and rcccx) multiplies only that sector by the
+  target block of its matrix.
 
 The monomial kernel is exact: each amplitude the 2x2 or tensor product made
 for such a kind was one product with a unit plus exact zeros, and the
 kernel makes that product alone (a copy for the unit 1), so at most the
 sign of an exact zero differs.  s, cs and the like stay out:
-exp(i*pi/2) is not exactly 1j.
+exp(i*pi/2) is not exactly 1j.  The sector kernel gives each row the bits
+of the full matrix's row, whose other terms are exact zeros; the diagonal
+controlled kinds (cs, cp, cu1, crz) take it too, not an elementwise
+product, which rounds apart.  A gate that spans the whole state keeps the
+full matrix: numpy multiplies one column by another path.
 
-The dense 2x2 kernel and the monomial cycles make several passes over a
-sector.  When a sector holds more than _BLOCK amplitudes (a one-qubit gate
-on more than 13 qubits), they go tile by tile: each tile of _BLOCK
-amplitudes is copied into contiguous scratch, which stays in the cache for
-all its passes, and the results are copied back.  The dense kernel makes
-the same six numpy calls in the same operand order on a tile as on a whole
-half, so its amplitudes are the same bit for bit; a monomial cycle is exact
-either way.  Scratch is allocated per call, so a step may run on several
-states at once (the mutation judge replays steps outside its lock), and a
-tiled step allocates a few tiles, not a half-state temporary.
+The dense 2x2 kernel, the monomial cycles and the tensor kernel make
+several passes over a sector.  When a sector holds more than _BLOCK
+amplitudes (a one-qubit gate on more than 13 qubits), or a tensor operand
+more than _BLOCK columns, they go tile by tile: each tile is copied into
+contiguous scratch, which stays in the cache for all its passes, and the
+results are copied back.  The dense kernel makes the same six numpy calls
+in the same operand order on a tile as on a whole half, and BLAS gives a
+column the same bits whatever the column count, as long as the count is a
+multiple of 4 (so seen with OpenBLAS on x86-64; tests/test_live_qubits.py
+checks it), so the amplitudes are the same bit for bit; a monomial cycle
+is exact either way.  Every count a kernel multiplies is a power of two.
+Scratch is allocated per call, so a step may run on several states at once
+(the mutation judge replays steps outside its lock), and a tiled step
+allocates a few tiles, not a half-state temporary.
+
+run() and statevector_of() hold their state in a _Live.  Past 2 * _BLOCK
+amplitudes it holds each qubit that is still in an exact basis state as a
+bit: the amplitudes over the other, live, qubits form a block, the prefix
+of the run's one 2^n buffer.  A gate
+that keeps its classical operands classical builds no kernel: p and the
+diagonal kinds scale the block, x and y and the other monomial kinds on
+classical operands set bits (and scale by the unit), and a classical
+control at 0 skips a sector kind, at 1 leaves the gate on the other
+operands.  Any other gate first expands its classical operands, in place:
+block rows move top-first to make room and zeros fill the new half, with no
+second state allocated.  Then the unchanged kernel() step runs on the block
+with renumbered operands and makes, on each live amplitude, the numpy or
+BLAS call its full-width kernel makes.  A probe read or a measurement on a
+partly classical state squares the live amplitudes into their places in a
+zeroed buffer of the full layout, which sums the way marginal() sums, so
+probe values, measurements and final states are those of the full-width
+loop.  Only the sign of an exact zero may differ from it: amplitudes no
+live qubit reaches are never computed, so their +0 or -0 is not tracked.
+A smaller state keeps every qubit live from the start, with no classical
+bits: on states that small the bookkeeping costs more than it saves.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -52,6 +84,8 @@ repeated sampling adds nothing to coverage.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -164,9 +198,16 @@ def _sector_cycles(cycles: Cycles, axes: tuple[int, ...]) -> tuple:
                  for rows, units in cycles)
 
 
+def _plans(cycles: Cycles, k: int) -> dict[tuple[int, ...], tuple]:
+    """The _sector_cycles of a k-operand matrix's cycles for every order of
+    operand axes."""
+    orders = itertools.permutations(range(1, 2 * k, 2))
+    return {axes: _sector_cycles(cycles, axes) for axes in orders}
+
+
 def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
     """The kinds whose matrix has one nonzero entry per row, each in {1, -1,
-    1j, -1j}, each with its _sector_cycles for every order of operand axes."""
+    1j, -1j}, each with its _plans."""
     kinds = {}
     for kind, spec in SPECS.items():
         if spec.num_params or kind in (GateKind.ID, GateKind.MEASURE,
@@ -174,8 +215,7 @@ def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
             continue
         cycles = _cycles(gates.matrix(kind))
         if cycles is not None:
-            orders = itertools.permutations(range(1, 2 * spec.num_qubits, 2))
-            kinds[kind] = {axes: _sector_cycles(cycles, axes) for axes in orders}
+            kinds[kind] = _plans(cycles, spec.num_qubits)
     return kinds
 
 
@@ -184,6 +224,43 @@ def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
 # working out the sector indices costs about as much as applying a cx, so it
 # is done here, once.
 _MONOMIAL = _monomial_kinds()
+
+
+@functools.cache
+def _fixed_rows(k: int, fixed: tuple[int, ...]) -> tuple:
+    rest = [i for i in range(k) if i not in fixed]
+    base = sum(1 << i for i in fixed)
+    index = [base + sum(((j >> m) & 1) << i for m, i in enumerate(rest))
+             for j in range(1 << len(rest))]
+    return np.ix_(index, index)
+
+
+def _fix(mat: np.ndarray, fixed: tuple[int, ...]) -> np.ndarray:
+    """The rows and columns of mat where every operand in fixed reads 1, as
+    a matrix over the other operands in their order (little-endian)."""
+    return mat[_fixed_rows(mat.shape[0].bit_length() - 1, fixed)]
+
+
+def _sector_kinds() -> dict[GateKind, tuple[int, ...]]:
+    """The kinds with controls whose matrix is the identity off the rows and
+    columns where every control reads 1 (all but rccx and rcccx), each with
+    its controls' operand positions."""
+    kinds = {}
+    for kind, spec in SPECS.items():
+        if not spec.controls:
+            continue
+        mat = gates.matrix(kind, (0.5,) * spec.num_params)
+        on = _fixed_rows(spec.num_qubits, spec.controls)
+        want = np.eye(len(mat), dtype=complex)
+        want[on] = mat[on]
+        if np.array_equal(mat, want):
+            kinds[kind] = spec.controls
+    return kinds
+
+
+# the gate is the identity unless all of its controls read 1: a classical
+# control at 0 skips it, and its kernel acts on the controls-one sector only
+_SECTOR = _sector_kinds()
 
 
 # kernel() arguments of one gate: kind, params, qubits
@@ -222,7 +299,10 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
         return _diagonal(mat, qubits[0])
     if len(qubits) == 1:
         return _dense_1q(mat, qubits[0], num_qubits)
-    return _dense_kq(mat, qubits, num_qubits)
+    # on the controls-one sector; not where the gate spans the state, whose
+    # one column numpy multiplies by another path than the full matrix
+    controls = _SECTOR.get(kind, ()) if num_qubits > len(qubits) else ()
+    return _tensor(mat, qubits, num_qubits, controls)
 
 
 def apply_gate(state: np.ndarray, kind: GateKind,
@@ -373,34 +453,272 @@ def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
     return tiled
 
 
-def _dense_kq(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> Step:
+def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int,
+            controls: tuple[int, ...] = ()) -> Step:
+    """mat by BLAS matmul over a view with one axis per operand and one per
+    gap; with controls (operand positions), only _fix(mat, controls) on the
+    sector where they all read 1, the rest of the state left as it is.
+
+    More than _BLOCK columns go through tiles of _BLOCK columns, so a step
+    allocates no state-size temporaries.  BLAS gives each column the same
+    bits whatever the column count, in multiples of 4: the tiles, a smaller
+    state and the sector all match the full matrix on the whole state.
+    """
     shape, axes = _operand_view(qubits, n)
-    flat = (1 << len(qubits), -1)
-    # bring the operand axes to the front most-significant-first, so the
-    # flattened index is little-endian in the operands, and put them back
+    sector = [slice(None)] * len(shape)
+    for c in controls:
+        sector[axes[c]] = 1
+    kept = [axis for axis in range(len(shape))
+            if axis not in [axes[c] for c in controls]]
+    sub = _fix(mat, controls) if controls else mat
+    rows = len(sub)
+    # bring the target axes to the front most-significant-first, so the
+    # flattened index is little-endian in the targets, and put them back
     # with the inverse order; the other axes keep their order, so the
     # flattened operand is the same as over a (2,) * n view
-    front = list(axes[::-1])
-    order = front + [axis for axis in range(len(shape)) if axis not in front]
-    inverse = [order.index(axis) for axis in range(len(shape))]
-    moved = tuple(shape[axis] for axis in order)
+    front = [kept.index(axes[i]) for i in range(len(qubits))
+             if i not in controls][::-1]
+    order = front + [axis for axis in range(len(kept)) if axis not in front]
+    inverse = [order.index(axis) for axis in range(len(kept))]
+    moved = tuple(shape[kept[axis]] for axis in order)
+    sector = tuple(sector)
+    if 1 << (n - len(qubits)) <= _BLOCK:
+        def step(state: np.ndarray) -> None:
+            psi = state.reshape(shape)[sector]
+            result = sub @ psi.transpose(order).reshape(rows, -1)
+            np.copyto(psi, result.reshape(moved).transpose(inverse))
+        return step
 
-    def step(state: np.ndarray) -> None:
-        psi = state.reshape(shape)
-        result = mat @ psi.transpose(order).reshape(flat)
-        np.copyto(psi, result.reshape(moved).transpose(inverse))
-    return step
+    tile_shape, tiles = _tiles(moved[len(front):])
+    lead = (slice(None),) * len(front)
+    staged_shape = moved[:len(front)] + tile_shape
+
+    def tiled(state: np.ndarray) -> None:
+        psi = state.reshape(shape)[sector].transpose(order)
+        operand = np.empty(staged_shape, complex)
+        result = np.empty(staged_shape, complex)
+        flat_operand = operand.reshape(rows, -1)
+        flat_result = result.reshape(rows, -1)
+        for tile in tiles:
+            part = psi[lead + tile]
+            np.copyto(operand, part)
+            np.matmul(sub, flat_operand, out=flat_result)
+            np.copyto(part, result)
+    return tiled
 
 
-def _measure(state: np.ndarray, qubit: int, rng: np.random.Generator) -> int:
-    p0, p1 = marginal(state, qubit)
-    outcome = 1 if rng.random() < p1 else 0
-    view = state.reshape(-1, 2, 1 << qubit)
-    view[:, 1 - outcome, :] = 0.0
-    norm = np.sqrt(p1 if outcome else p0)
-    if norm > 1e-12:
-        state /= norm
-    return outcome
+# an operation on the block that spans k operands first makes room for
+# k + _SPARE live qubits, where the state has them: BLAS rounds a product of
+# fewer than 4 columns apart, and numpy an in-place product of one element
+_SPARE = 2
+
+
+class _Live:
+    """A run's state; past 2 * _BLOCK amplitudes each qubit still in a basis
+    state is held as a bit.
+
+    The amplitudes over the other, live, qubits fill the block: the first
+    2^len(live) entries of the run's one 2^n buffer, little-endian in the
+    live qubits taken in increasing order.  The full-layout state is the
+    block with each classical qubit's bit spliced into the index, and zeros
+    everywhere else.
+    """
+
+    def __init__(self, state: np.ndarray, num_qubits: int, basis: bool):
+        """basis: the state is |0...0>; past 2 * _BLOCK amplitudes its
+        qubits then start as bits, all 0.  A smaller state keeps every
+        qubit live: there the bookkeeping costs more than it saves."""
+        self.state = state
+        self.n = num_qubits
+        wide = 1 << num_qubits > 2 * _BLOCK
+        # classical qubit -> its bit; block axis i is live qubit live[i]
+        self.bits: dict[int, int] = dict.fromkeys(range(num_qubits) if basis and wide else (), 0)
+        self.live: list[int] = [q for q in range(num_qubits) if q not in self.bits]
+        self.pos = {q: i for i, q in enumerate(self.live)}
+        # on a small state, a step per distinct gate (tiles take memory);
+        # params with a zero go by repr: 0.0 == -0.0, yet they round apart
+        self.steps: dict[tuple, Step] | None = None if wide else {}
+
+    def _block(self) -> np.ndarray:
+        return self.state[:1 << len(self.live)]
+
+    def _expand(self, qubit: int) -> None:
+        """Make a classical qubit live, in place: block row r (the amplitudes
+        over the live qubits below it) moves to row 2r + bit, the top rows
+        first, each move onto rows already moved or past the old block."""
+        bit = self.bits.pop(qubit)
+        rank = bisect.bisect(self.live, qubit)
+        size, low = 1 << len(self.live), 1 << rank
+        old = self.state[:size].reshape(-1, low)
+        new = self.state[:2 * size].reshape(-1, 2, low)
+        top = size // low
+        while top > 1:
+            mid = top // 2
+            new[mid:top, bit] = old[mid:top]
+            top = mid
+        if bit:
+            new[0, 1] = old[0]
+        new[:, 1 - bit] = 0.0
+        self.live.insert(rank, qubit)
+        self.pos = {q: i for i, q in enumerate(self.live)}
+
+    def _make_live(self, qubits) -> None:
+        for q in qubits:
+            if q in self.bits:
+                self._expand(q)
+
+    def _widen(self, k: int) -> None:
+        while len(self.live) < min(self.n, k + _SPARE):
+            self._expand(min(self.bits))
+
+    def apply(self, kind: GateKind, params: tuple[float, ...],
+              qubits: tuple[int, ...]) -> None:
+        """Apply one gate: kernel() on the block, with its operands made
+        live and renumbered, unless _classical applies it on the bits."""
+        if kind in _NO_OP:
+            return
+        steps = self.steps
+        if steps is not None:
+            key = (kind, repr(params) if 0.0 in params else params, qubits)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = kernel(kind, params, qubits, self.n)
+            step(self.state)
+            return
+        bits = self.bits
+        if bits:
+            if any(q in bits for q in qubits) and self._classical(kind, params, qubits):
+                return
+            self._widen(len(qubits))
+            pos = self.pos
+            qubits = tuple(pos[q] for q in qubits)
+        kernel(kind, params, qubits, len(self.live))(self._block())
+
+    def _classical(self, kind: GateKind, params: tuple[float, ...],
+                   qubits: tuple[int, ...]) -> bool:
+        """Apply a gate with a classical operand where it keeps that operand
+        classical, with the numpy call its full-width kernel makes on the
+        live amplitudes; otherwise make its operands live and return False.
+
+        p and the diagonal kinds scale the block; a classical control at 0
+        skips a _SECTOR kind, and controls at 1 leave it _fix'ed to the
+        other operands; a monomial gate on classical operands sets their
+        bits and scales the block by its unit.
+        """
+        bits = self.bits
+        if kind is GateKind.P:
+            if bits[qubits[0]]:
+                self._widen(0)
+                block = self._block()
+                block *= np.exp(1j * params[0])
+            return True
+        if kind in _DIAGONAL:
+            bit = bits[qubits[0]]
+            factor = gates.matrix(kind, params)[bit, bit]
+            if factor != 1:
+                self._widen(0)
+                block = self._block()
+                np.multiply(factor, block, out=block)
+            return True
+        controls = _SECTOR.get(kind, ())
+        fixed = tuple(c for c in controls if qubits[c] in bits)
+        if any(bits[qubits[c]] == 0 for c in fixed):
+            return True
+        monomial = kind in _MONOMIAL
+        if not fixed and not (monomial and all(q in bits for q in qubits)):
+            self._make_live(qubits)
+            return False
+        mat = gates.matrix(kind, params)
+        if fixed:
+            mat = _fix(mat, fixed)
+        rest = [i for i in range(len(qubits)) if i not in fixed]
+        targets = [qubits[i] for i in rest]
+        if monomial and all(q in bits for q in targets):
+            col = sum(bits[q] << j for j, q in enumerate(targets))
+            row = int(np.flatnonzero(mat[:, col])[0])
+            for j, q in enumerate(targets):
+                bits[q] = (row >> j) & 1
+            unit = mat[row, col]
+            if unit != 1:
+                block = self._block()
+                np.multiply(unit, block, out=block)
+            return True
+        self._make_live(targets)
+        self._widen(len(targets))
+        operands = tuple(self.pos[q] for q in targets)
+        if monomial:
+            step = _monomial(_plans(_cycles(mat), len(targets)), operands, len(self.live))
+        else:
+            left = tuple(j for j, i in enumerate(rest) if i in controls)
+            step = _tensor(mat, operands, len(self.live), left)
+        step(self._block())
+        return True
+
+    def marginal(self, qubit: int) -> tuple[float, float]:
+        """marginal() of the full-layout state, bit for bit: |a|^2 of the
+        live amplitudes goes straight into their places in a zeroed buffer
+        of marginal's half-state shape, which then sums the same way."""
+        bits = self.bits
+        if not bits:
+            return marginal(self.state, qubit)
+        # views with an axis per classical qubit and one for qubit, and one
+        # per run of live qubits between them: the half-state buffer has
+        # none for qubit, the block none for a classical qubit
+        half_shape, half_index, block_shape, axis = [], [], [], None
+        above = self.n
+        for q in sorted(bits.keys() | {qubit}, reverse=True):
+            gap = 1 << (above - q - 1)
+            half_shape.append(gap)
+            half_index.append(slice(None))
+            block_shape.append(gap)
+            if q != qubit:
+                half_shape.append(2)
+                half_index.append(bits[q])
+            elif q not in bits:
+                axis = len(block_shape)
+                block_shape.append(2)
+            above = q
+        half_shape.append(1 << above)
+        half_index.append(slice(None))
+        block_shape.append(1 << above)
+        buf = np.zeros((1 << (self.n - 1 - qubit), 1 << qubit))
+        dst = buf.reshape(half_shape)[tuple(half_index)]
+        block = self._block().reshape(block_shape)
+        if axis is None:
+            np.abs(block, out=dst)
+            np.square(dst, out=dst)
+            total = float(buf.sum())
+            return (0.0, total) if bits[qubit] else (total, 0.0)
+        probs = []
+        for value in (0, 1):
+            np.abs(block[(slice(None),) * axis + (value,)], out=dst)
+            np.square(dst, out=dst)
+            probs.append(float(buf.sum()))
+        return probs[0], probs[1]
+
+    def measure(self, qubit: int, rng: np.random.Generator) -> int:
+        """Measure a qubit: draw the outcome from the seeded generator by
+        its marginal, zero the other half and renormalise."""
+        p0, p1 = self.marginal(qubit)
+        outcome = 1 if rng.random() < p1 else 0
+        if qubit in self.bits:
+            if outcome != self.bits[qubit]:
+                self._block()[...] = 0.0
+        else:
+            view = self._block().reshape(-1, 2, 1 << self.pos[qubit])
+            view[:, 1 - outcome, :] = 0.0
+        norm = np.sqrt(p1 if outcome else p0)
+        if norm > 1e-12:
+            self._widen(0)
+            block = self._block()
+            block /= norm
+        return outcome
+
+    def expanded(self) -> np.ndarray:
+        """The full-layout state, in the run's buffer."""
+        while self.bits:
+            self._expand(min(self.bits))
+        return self.state
 
 
 def _check_initial(initial: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -433,37 +751,28 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     n = circuit.num_qubits
     _check_width(n, qubit_limit)
     state = zero_state(n) if initial is None else _check_initial(initial, n)
+    live = _Live(state, n, initial is None)
     rng = np.random.default_rng(seed)
     log: ProbeLog = {}
     measurements: dict[int, int] = {}
     # marginals read since the last non-probe instruction, by qubit
     reads: dict[int, tuple[float, float]] = {}
-    # a step per distinct gate, kept while none is tiled (tiles take memory);
-    # params with a zero go by repr: 0.0 == -0.0, yet they round apart
-    steps: dict[tuple, Step] = {}
-    keep = 1 << n <= 2 * _BLOCK
     for instr in circuit.instructions:
         if isinstance(instr, Probe):
             if instr.label in log:
                 raise SimulationError(f"duplicate probe label {instr.label!r}")
             if instr.qubit not in reads:
-                reads[instr.qubit] = marginal(state, instr.qubit)
+                reads[instr.qubit] = live.marginal(instr.qubit)
             p0, p1 = reads[instr.qubit]
             log[instr.label] = (p0 - p1) if instr.mode == "expectation" else (p0, p1)
             continue
         reads.clear()
         kind, params, qubits = instr.kind, instr.params, instr.qubits
         if kind is GateKind.MEASURE:
-            measurements[instr.clbits[0]] = _measure(state, qubits[0], rng)
+            measurements[instr.clbits[0]] = live.measure(qubits[0], rng)
             continue
-        if keep:
-            key = (kind, repr(params) if 0.0 in params else params, qubits)
-            step = steps.get(key)
-            if step is None:
-                step = steps[key] = kernel(kind, params, qubits, n)
-        else:
-            step = kernel(kind, params, qubits, n)
-        step(state)
+        live.apply(kind, params, qubits)
+    state = live.expanded()
     _check_norm(state)
     return RunResult(state, log, measurements)
 
@@ -493,10 +802,11 @@ def statevector_of(circuit: Circuit, *,
     probes are not allowed.
     """
     ops = gate_ops(circuit, qubit_limit)
-    state = zero_state(circuit.num_qubits)
+    n = circuit.num_qubits
+    live = _Live(zero_state(n), n, True)
     for op in ops:
-        kernel(*op, circuit.num_qubits)(state)
-    return state
+        live.apply(*op)
+    return live.expanded()
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -49,6 +49,13 @@ def test_cover_missing_file(capsys):
     assert "missing.qasm" in err
 
 
+def test_cover_rejects_a_repeated_barrier_operand(tmp_path, capsys):
+    bad = tmp_path / "barrier.qasm"
+    bad.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nbarrier q, q[0];\n')
+    assert main(["cover", str(bad)]) == 1
+    assert "duplicate qubit operand in barrier" in capsys.readouterr().err
+
+
 def test_cover_partial_failure(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 9.9;\n")

@@ -387,3 +387,39 @@ def test_lexer_matches_oracle():
         assert _lex_outcome(one_pass, source) == want, source
         failures += isinstance(want, tuple)
     assert 0 < failures < 600
+
+
+_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+
+
+def test_barrier_rejects_a_repeated_operand():
+    for stmt in ("barrier q[0], q[0];", "barrier q, q[1];"):
+        with pytest.raises(QasmError, match="duplicate qubit operand in barrier") as info:
+            parse(_HEADER + stmt + "\n", "b.qasm")
+        assert (info.value.span.line, info.value.span.col_start) == (4, 1)
+    assert len(parse(_HEADER + "barrier q[1], q[0];\n").instructions) == 1
+
+
+def test_every_circuit_parse_accepts_passes_validate():
+    # the CLI loads a file with parse alone: whatever parse accepts must
+    # already meet every check of ir.validate
+    from test_frozen_diagnostics import CASES
+    sources = [p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.qasm"))]
+    sources += [source for source, _, _ in CASES.values()]
+    sources += list(_mutated_corpus_sources(11, 300))
+    # a repeated barrier operand, alone and through a whole register
+    sources += [_HEADER + stmt for stmt in ("barrier q[0], q[0];\n",
+                                             "barrier q, q[1];\n", "barrier q[1], q;\n")]
+    accepted = 0
+    for source in sources:
+        try:
+            circuit = parse(source)
+        except QasmError:
+            continue
+        accepted += 1
+        assert validate(circuit) == [], source
+    assert accepted > len(list(CORPUS.glob("*.qasm")))
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        circuit = random_circuit(rng, with_measure=bool(rng.integers(2)))
+        assert validate(parse(serialize(circuit))) == []
