@@ -52,25 +52,24 @@ Scratch is allocated per call, so a step may run on several states at once
 allocates a few tiles, not a half-state temporary.
 
 run() and statevector_of() hold their state in a _Live.  Past 2 * _BLOCK
-amplitudes it holds each qubit that is still in an exact basis state as a
-bit: the amplitudes over the other, live, qubits form a block, the prefix
-of the run's one 2^n buffer.  A gate
-that keeps its classical operands classical builds no kernel: p and the
-diagonal kinds scale the block, x and y and the other monomial kinds on
-classical operands set bits (and scale by the unit), and a classical
-control at 0 skips a sector kind, at 1 leaves the gate on the other
-operands.  Any other gate first expands its classical operands, in place:
-block rows move top-first to make room and zeros fill the new half, with no
-second state allocated.  Then the unchanged kernel() step runs on the block
-with renumbered operands and makes, on each live amplitude, the numpy or
-BLAS call its full-width kernel makes.  A probe read or a measurement on a
-partly classical state squares the live amplitudes into their places in a
-zeroed buffer of the full layout, which sums the way marginal() sums, so
-probe values, measurements and final states are those of the full-width
-loop.  Only the sign of an exact zero may differ from it: amplitudes no
-live qubit reaches are never computed, so their +0 or -0 is not tracked.
-A smaller state keeps every qubit live from the start, with no classical
-bits: on states that small the bookkeeping costs more than it saves.
+amplitudes the qubits still in |0> are held apart: the amplitudes over the
+other, live, qubits form a block, the prefix of the run's one 2^n buffer.
+A gate that leaves its operands in |0> builds no kernel: a control still
+in |0> skips a sector kind, and a gate on operands all in |0> whose matrix
+maps |0...0> to f|0...0> (p, s, t, z, swap, dcx, rccx and the like) scales
+the block by f, or leaves it as it is when f is 1.  Any other gate first
+makes its operands in |0> live, in place: block rows move top-first to make
+room and zeros fill the new half, with no second state allocated.  Then the
+unchanged kernel() step runs on the block with renumbered operands and
+makes, on each live amplitude, the numpy or BLAS call its full-width
+kernel makes.  A probe read or a measurement with some qubit in |0>
+squares the live amplitudes into their places in a zeroed buffer of the
+full layout, which sums the way marginal() sums, so probe values,
+measurements and final states are those of the full-width loop.  Only the
+sign of an exact zero may differ from it: amplitudes no live qubit reaches
+are never computed, so their +0 or -0 is not tracked.  A smaller state
+keeps every qubit live from the start: on states that small the
+bookkeeping costs more than it saves.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -198,16 +197,10 @@ def _sector_cycles(cycles: Cycles, axes: tuple[int, ...]) -> tuple:
                  for rows, units in cycles)
 
 
-def _plans(cycles: Cycles, k: int) -> dict[tuple[int, ...], tuple]:
-    """The _sector_cycles of a k-operand matrix's cycles for every order of
-    operand axes."""
-    orders = itertools.permutations(range(1, 2 * k, 2))
-    return {axes: _sector_cycles(cycles, axes) for axes in orders}
-
-
 def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
     """The kinds whose matrix has one nonzero entry per row, each in {1, -1,
-    1j, -1j}, each with its _plans."""
+    1j, -1j}, each with the _sector_cycles of its cycles for every order of
+    operand axes."""
     kinds = {}
     for kind, spec in SPECS.items():
         if spec.num_params or kind in (GateKind.ID, GateKind.MEASURE,
@@ -215,7 +208,8 @@ def _monomial_kinds() -> dict[GateKind, dict[tuple[int, ...], tuple]]:
             continue
         cycles = _cycles(gates.matrix(kind))
         if cycles is not None:
-            kinds[kind] = _plans(cycles, spec.num_qubits)
+            orders = itertools.permutations(range(1, 2 * spec.num_qubits, 2))
+            kinds[kind] = {axes: _sector_cycles(cycles, axes) for axes in orders}
     return kinds
 
 
@@ -258,8 +252,8 @@ def _sector_kinds() -> dict[GateKind, tuple[int, ...]]:
     return kinds
 
 
-# the gate is the identity unless all of its controls read 1: a classical
-# control at 0 skips it, and its kernel acts on the controls-one sector only
+# the gate is the identity unless all of its controls read 1: a control still
+# in |0> skips it, and its kernel acts on the controls-one sector only
 _SECTOR = _sector_kinds()
 
 
@@ -514,26 +508,26 @@ _SPARE = 2
 
 
 class _Live:
-    """A run's state; past 2 * _BLOCK amplitudes each qubit still in a basis
-    state is held as a bit.
+    """A run's state; past 2 * _BLOCK amplitudes the qubits still in |0>
+    are held apart.
 
     The amplitudes over the other, live, qubits fill the block: the first
     2^len(live) entries of the run's one 2^n buffer, little-endian in the
     live qubits taken in increasing order.  The full-layout state is the
-    block with each classical qubit's bit spliced into the index, and zeros
+    block with a 0 spliced into the index for each qubit in zero, and zeros
     everywhere else.
     """
 
     def __init__(self, state: np.ndarray, num_qubits: int, basis: bool):
         """basis: the state is |0...0>; past 2 * _BLOCK amplitudes its
-        qubits then start as bits, all 0.  A smaller state keeps every
-        qubit live: there the bookkeeping costs more than it saves."""
+        qubits then start in zero.  A smaller state keeps every qubit live:
+        there the bookkeeping costs more than it saves."""
         self.state = state
         self.n = num_qubits
         wide = 1 << num_qubits > 2 * _BLOCK
-        # classical qubit -> its bit; block axis i is live qubit live[i]
-        self.bits: dict[int, int] = dict.fromkeys(range(num_qubits) if basis and wide else (), 0)
-        self.live: list[int] = [q for q in range(num_qubits) if q not in self.bits]
+        # the qubits still in |0>; block axis i is live qubit live[i]
+        self.zero: set[int] = set(range(num_qubits)) if basis and wide else set()
+        self.live: list[int] = [q for q in range(num_qubits) if q not in self.zero]
         self.pos = {q: i for i, q in enumerate(self.live)}
         # on a small state, a step per distinct gate (tiles take memory);
         # params with a zero go by repr: 0.0 == -0.0, yet they round apart
@@ -543,10 +537,10 @@ class _Live:
         return self.state[:1 << len(self.live)]
 
     def _expand(self, qubit: int) -> None:
-        """Make a classical qubit live, in place: block row r (the amplitudes
-        over the live qubits below it) moves to row 2r + bit, the top rows
-        first, each move onto rows already moved or past the old block."""
-        bit = self.bits.pop(qubit)
+        """Make a qubit in zero live, in place: block row r (the amplitudes
+        over the live qubits below it) moves to row 2r, the top rows first,
+        each move onto rows already moved or past the old block."""
+        self.zero.remove(qubit)
         rank = bisect.bisect(self.live, qubit)
         size, low = 1 << len(self.live), 1 << rank
         old = self.state[:size].reshape(-1, low)
@@ -554,27 +548,20 @@ class _Live:
         top = size // low
         while top > 1:
             mid = top // 2
-            new[mid:top, bit] = old[mid:top]
+            new[mid:top, 0] = old[mid:top]
             top = mid
-        if bit:
-            new[0, 1] = old[0]
-        new[:, 1 - bit] = 0.0
+        new[:, 1] = 0.0
         self.live.insert(rank, qubit)
         self.pos = {q: i for i, q in enumerate(self.live)}
 
-    def _make_live(self, qubits) -> None:
-        for q in qubits:
-            if q in self.bits:
-                self._expand(q)
-
     def _widen(self, k: int) -> None:
         while len(self.live) < min(self.n, k + _SPARE):
-            self._expand(min(self.bits))
+            self._expand(min(self.zero))
 
     def apply(self, kind: GateKind, params: tuple[float, ...],
               qubits: tuple[int, ...]) -> None:
         """Apply one gate: kernel() on the block, with its operands made
-        live and renumbered, unless _classical applies it on the bits."""
+        live and renumbered, unless _keeps_zero applies it."""
         if kind in _NO_OP:
             return
         steps = self.steps
@@ -585,96 +572,65 @@ class _Live:
                 step = steps[key] = kernel(kind, params, qubits, self.n)
             step(self.state)
             return
-        bits = self.bits
-        if bits:
-            if any(q in bits for q in qubits) and self._classical(kind, params, qubits):
+        zero = self.zero
+        if zero:
+            if any(q in zero for q in qubits) and self._keeps_zero(kind, params, qubits):
                 return
             self._widen(len(qubits))
             pos = self.pos
             qubits = tuple(pos[q] for q in qubits)
         kernel(kind, params, qubits, len(self.live))(self._block())
 
-    def _classical(self, kind: GateKind, params: tuple[float, ...],
-                   qubits: tuple[int, ...]) -> bool:
-        """Apply a gate with a classical operand where it keeps that operand
-        classical, with the numpy call its full-width kernel makes on the
-        live amplitudes; otherwise make its operands live and return False.
+    def _keeps_zero(self, kind: GateKind, params: tuple[float, ...],
+                    qubits: tuple[int, ...]) -> bool:
+        """Apply a gate that leaves its operands in zero there and return
+        True; otherwise make its operands live and return False.
 
-        p and the diagonal kinds scale the block; a classical control at 0
-        skips a _SECTOR kind, and controls at 1 leave it _fix'ed to the
-        other operands; a monomial gate on classical operands sets their
-        bits and scales the block by its unit.
+        A control in zero skips a _SECTOR kind.  A gate on operands all in
+        zero whose matrix maps |0...0> to f|0...0> scales the block by f.
+        Only rz has an f other than 1, scaled with the np.multiply its
+        _diagonal kernel makes; where f is 1 the full-width kernel gives
+        the live amplitudes back equal in value.
         """
-        bits = self.bits
-        if kind is GateKind.P:
-            if bits[qubits[0]]:
-                self._widen(0)
-                block = self._block()
-                block *= np.exp(1j * params[0])
-            return True
-        if kind in _DIAGONAL:
-            bit = bits[qubits[0]]
-            factor = gates.matrix(kind, params)[bit, bit]
-            if factor != 1:
-                self._widen(0)
-                block = self._block()
-                np.multiply(factor, block, out=block)
-            return True
+        zero = self.zero
         controls = _SECTOR.get(kind, ())
-        fixed = tuple(c for c in controls if qubits[c] in bits)
-        if any(bits[qubits[c]] == 0 for c in fixed):
+        if any(qubits[c] in zero for c in controls):
             return True
-        monomial = kind in _MONOMIAL
-        if not fixed and not (monomial and all(q in bits for q in qubits)):
-            self._make_live(qubits)
-            return False
-        mat = gates.matrix(kind, params)
-        if fixed:
-            mat = _fix(mat, fixed)
-        rest = [i for i in range(len(qubits)) if i not in fixed]
-        targets = [qubits[i] for i in rest]
-        if monomial and all(q in bits for q in targets):
-            col = sum(bits[q] << j for j, q in enumerate(targets))
-            row = int(np.flatnonzero(mat[:, col])[0])
-            for j, q in enumerate(targets):
-                bits[q] = (row >> j) & 1
-            unit = mat[row, col]
-            if unit != 1:
-                block = self._block()
-                np.multiply(unit, block, out=block)
-            return True
-        self._make_live(targets)
-        self._widen(len(targets))
-        operands = tuple(self.pos[q] for q in targets)
-        if monomial:
-            step = _monomial(_plans(_cycles(mat), len(targets)), operands, len(self.live))
-        else:
-            left = tuple(j for j, i in enumerate(rest) if i in controls)
-            step = _tensor(mat, operands, len(self.live), left)
-        step(self._block())
-        return True
+        if all(q in zero for q in qubits):
+            mat = gates.matrix(kind, params)
+            if not mat[1:, 0].any():
+                factor = mat[0, 0]
+                if factor != 1:
+                    self._widen(0)
+                    block = self._block()
+                    np.multiply(factor, block, out=block)
+                return True
+        for q in qubits:
+            if q in zero:
+                self._expand(q)
+        return False
 
     def marginal(self, qubit: int) -> tuple[float, float]:
         """marginal() of the full-layout state, bit for bit: |a|^2 of the
         live amplitudes goes straight into their places in a zeroed buffer
         of marginal's half-state shape, which then sums the same way."""
-        bits = self.bits
-        if not bits:
+        zero = self.zero
+        if not zero:
             return marginal(self.state, qubit)
-        # views with an axis per classical qubit and one for qubit, and one
-        # per run of live qubits between them: the half-state buffer has
-        # none for qubit, the block none for a classical qubit
+        # views with an axis per qubit in zero and one for qubit, and one per
+        # run of live qubits between them: the half-state buffer has none
+        # for qubit, the block none for a qubit in zero
         half_shape, half_index, block_shape, axis = [], [], [], None
         above = self.n
-        for q in sorted(bits.keys() | {qubit}, reverse=True):
+        for q in sorted(zero | {qubit}, reverse=True):
             gap = 1 << (above - q - 1)
             half_shape.append(gap)
             half_index.append(slice(None))
             block_shape.append(gap)
             if q != qubit:
                 half_shape.append(2)
-                half_index.append(bits[q])
-            elif q not in bits:
+                half_index.append(0)
+            elif q not in zero:
                 axis = len(block_shape)
                 block_shape.append(2)
             above = q
@@ -687,8 +643,7 @@ class _Live:
         if axis is None:
             np.abs(block, out=dst)
             np.square(dst, out=dst)
-            total = float(buf.sum())
-            return (0.0, total) if bits[qubit] else (total, 0.0)
+            return float(buf.sum()), 0.0
         probs = []
         for value in (0, 1):
             np.abs(block[(slice(None),) * axis + (value,)], out=dst)
@@ -698,13 +653,11 @@ class _Live:
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a qubit: draw the outcome from the seeded generator by
-        its marginal, zero the other half and renormalise."""
+        its marginal, zero the other half and renormalise.  A qubit in zero
+        reads p1 = 0.0, so it measures 0."""
         p0, p1 = self.marginal(qubit)
         outcome = 1 if rng.random() < p1 else 0
-        if qubit in self.bits:
-            if outcome != self.bits[qubit]:
-                self._block()[...] = 0.0
-        else:
+        if qubit not in self.zero:
             view = self._block().reshape(-1, 2, 1 << self.pos[qubit])
             view[:, 1 - outcome, :] = 0.0
         norm = np.sqrt(p1 if outcome else p0)
@@ -716,8 +669,8 @@ class _Live:
 
     def expanded(self) -> np.ndarray:
         """The full-layout state, in the run's buffer."""
-        while self.bits:
-            self._expand(min(self.bits))
+        while self.zero:
+            self._expand(min(self.zero))
         return self.state
 
 

@@ -1,4 +1,4 @@
-"""Wide runs hold each qubit still in a basis state as a bit (simulator._Live).
+"""Wide runs hold apart the qubits still in |0> (simulator._Live).
 
 Against kernel_oracle's full-width loop they must give the same probe logs
 (by repr), the same measurements and equal states (only the sign of an
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kernel_oracle
-from corpus_util import random_circuit
+from corpus_util import build, random_circuit, renumber
 from test_kernels import KINDS, _circuits
 from qcover import gates, simulator
 from qcover.ir import SPECS, Circuit, GateInstruction, GateKind
@@ -66,16 +66,16 @@ def _check(circuit: Circuit, seed: int = 5) -> None:
 
 @pytest.fixture
 def held(monkeypatch):
-    """How many gates the bits took, with no kernel() step."""
+    """How many gates left their |0> operands there, with no kernel() step."""
     count = [0]
-    real = simulator._Live._classical
+    real = simulator._Live._keeps_zero
 
     def counting(self, kind, params, qubits):
         done = real(self, kind, params, qubits)
         count[0] += done
         return done
 
-    monkeypatch.setattr(simulator._Live, "_classical", counting)
+    monkeypatch.setattr(simulator._Live, "_keeps_zero", counting)
     return count
 
 
@@ -132,6 +132,8 @@ def test_small_widths_with_tiny_tiles(monkeypatch, held):
 
 
 def test_expansion_moves_the_block_in_place():
+    # block row r moves to row 2r, and zeros fill the half where qubit 9
+    # reads 1, over what lay past the old block
     n = 16
     rng = np.random.default_rng(16)
     state = simulator.zero_state(n)
@@ -141,7 +143,7 @@ def test_expansion_moves_the_block_in_place():
             live._expand(q)
     block = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
     state[:block.size] = block
-    live.bits[9] = 1
+    state[block.size:] = 7.0
     tracemalloc.start()
     try:
         live._expand(9)
@@ -150,8 +152,77 @@ def test_expansion_moves_the_block_in_place():
         tracemalloc.stop()
     assert peak <= 4096, peak
     want = np.zeros((1 << (n - 10), 2, 1 << 9), complex)
-    want[:, 1, :] = block.reshape(-1, 1 << 9)
+    want[:, 0, :] = block.reshape(-1, 1 << 9)
     assert state.tobytes() == want.reshape(-1).tobytes()
+
+
+# gates on |0> operands that leave them there: rz scales the block, the
+# others leave it as it is; u, rx and ry at angle 0 take a dense kernel at
+# full width
+_KEEPING = [(GateKind.U, (0.0, 0.8, -1.3)), (GateKind.RX, (0.0,)),
+            (GateKind.RY, (0.0,)), (GateKind.RZ, (0.9,)), (GateKind.P, (-0.4,)),
+            (GateKind.Z, ()), (GateKind.SWAP, ()), (GateKind.DCX, ()),
+            (GateKind.RCCX, ()), (GateKind.RCCCX, ())]
+# controlled kinds met with their controls flipped to 1 by an x or a y
+_FLIPPED = [(GateKind.CX, ()), (GateKind.CH, ()), (GateKind.CCX, ()),
+            (GateKind.CSWAP, ()), (GateKind.CRY, (0.7,)), (GateKind.CZ, ())]
+
+
+def _zero_prefix_circuit(rng: np.random.Generator, i: int, n: int = 15,
+                         with_measure: bool = False) -> Circuit:
+    """Every _KEEPING gate on |0> operands, then three _FLIPPED patterns on
+    fresh qubits, then random_circuit gates."""
+    ops = []
+    for j in rng.permutation(len(_KEEPING)):
+        kind, params = _KEEPING[j]
+        qubits = [int(q) for q in rng.choice(n, SPECS[kind].num_qubits, replace=False)]
+        ops.append((kind, qubits, params))
+    fresh = [int(q) for q in rng.permutation(n)]
+    for j in range(i, i + 3):
+        kind, params = _FLIPPED[j % len(_FLIPPED)]
+        spec = SPECS[kind]
+        qubits, fresh = fresh[:spec.num_qubits], fresh[spec.num_qubits:]
+        for c in spec.controls:
+            ops.append(((GateKind.X, GateKind.Y)[int(rng.integers(2))], (qubits[c],)))
+        ops.append((kind, qubits, params))
+    tail = random_circuit(rng, num_qubits=n, num_gates=30, with_measure=with_measure)
+    return Circuit(n, tail.num_clbits,
+                   renumber(build(n, 0, ops).instructions + tail.instructions))
+
+
+def test_gates_that_keep_zero_match_the_full_width_loop(held):
+    rng = np.random.default_rng(21)
+    for i in range(60):
+        circuit = _zero_prefix_circuit(rng, i, with_measure=bool(i % 2))
+        _check(circuit)
+        _check(instrument(transpile(circuit)))
+    assert held[0] > 0
+
+
+def test_gates_that_keep_zero_build_no_step(monkeypatch):
+    built = []
+    real = simulator.kernel
+
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "kernel", counting)
+    n = 15
+    ops = [(GateKind.P, (3,), (0.5,)), (GateKind.RZ, (4,), (0.3,)),
+           (GateKind.S, (5,), ()), (GateKind.Z, (6,), ()), (GateKind.SWAP, (7, 8), ()),
+           (GateKind.CZ, (9, 10), ()), (GateKind.CH, (11, 2), ())]
+    live = simulator._Live(simulator.zero_state(n), n, True)
+    for kind, qubits, params in ops:
+        live.apply(kind, params, qubits)
+    assert built == []
+    # rz scaled the block, widened to _SPARE live qubits first
+    assert live.live == [0, 1]
+    live.apply(GateKind.X, (), (5,))
+    assert built == [GateKind.X]
+    assert live.live == [0, 1, 5] and 5 not in live.zero
+    want = kernel_oracle.run(build(n, 0, ops + [(GateKind.X, (5,))])).state
+    assert np.array_equal(live.expanded(), want)
 
 
 def _peak(call) -> int:
