@@ -9,7 +9,7 @@ from .coverage import (
     classify_condition,
     classify_decision,
 )
-from .probes import instrument, probe_plan, strip_probes
+from .probes import instrument, strip_probes
 from .ir import (
     Circuit,
     GateInstruction,

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .probes import probe_plan
 from .simulator import ProbeLog
 from .transpiler import TranspiledCircuit
 
@@ -217,22 +216,18 @@ def analyze(log: ProbeLog, t: TranspiledCircuit, *,
     """Compute the full report from a probe log and the transpiled origins."""
     if not 0.0 < epsilon < 0.5:
         raise AnalysisError("epsilon must lie in (0, 0.5)")
-    plan = probe_plan(t)
     per_gate: list[DecisionOutcome] = []
     per_cx: list[ConditionOutcome] = []
 
-    for origin_set in plan:
-        for pt in origin_set.cx_points:
-            expectation = _lookup(log, pt.value_label)
-            probs = _lookup(log, pt.prob_label)
-            th, fh, ptrue, pfalse = classify_condition(expectation, probs, epsilon)
-            per_cx.append(ConditionOutcome(origin_set.origin.id, pt.index,
-                                           th, fh, ptrue, pfalse))
-        expectations = [_lookup(log, dp.value_label) for dp in origin_set.decision_points]
-        probs_list = [_lookup(log, dp.prob_label) for dp in origin_set.decision_points]
+    for o in t.origins:
+        for j, (value, prob) in enumerate(o.cx_labels, start=1):
+            th, fh, ptrue, pfalse = classify_condition(
+                _lookup(log, value), _lookup(log, prob), epsilon)
+            per_cx.append(ConditionOutcome(o.id, j, th, fh, ptrue, pfalse))
+        expectations = [_lookup(log, value) for value, _ in o.control_labels]
+        probs_list = [_lookup(log, prob) for _, prob in o.control_labels]
         th, fh, ptrue, pfalse = classify_decision(expectations, probs_list, epsilon)
-        per_gate.append(DecisionOutcome(origin_set.origin.id, th, fh, ptrue, pfalse,
-                                        tuple(expectations)))
+        per_gate.append(DecisionOutcome(o.id, th, fh, ptrue, pfalse, tuple(expectations)))
 
     num_gates = len(per_gate)
     num_cx = len(per_cx)

@@ -265,15 +265,10 @@ class _Parser:
         name_at = self.pos
         name = self.expect_a("id")
         params: list[str] = []
-        if self.accept("("):
-            if not self.accept(")"):
-                params.append(self.expect_a("id"))
-                while self.accept(","):
-                    params.append(self.expect_a("id"))
-                self.expect(")")
-        qargs = [self.expect_a("id")]
-        while self.accept(","):
-            qargs.append(self.expect_a("id"))
+        if self.accept("(") and not self.accept(")"):
+            params = self.formals("parameter", name)
+            self.expect(")")
+        qargs = self.formals("qubit argument", name)
         self.expect("{")
         body: list[tuple[str, tuple, tuple[str, ...], int]] = []
         while not self.accept("}"):
@@ -309,6 +304,15 @@ class _Parser:
         if name in self.gate_defs:
             raise self.error(f"gate {name!r} already defined", name_at)
         self.gate_defs[name] = _GateDef(name, tuple(params), tuple(qargs), tuple(body))
+
+    def formals(self, what: str, gate: str) -> list[str]:
+        """The comma-separated names a gate declares, each at most once."""
+        names = [self.expect_a("id")]
+        while self.accept(","):
+            if self.tokens[self.pos] in names:
+                raise self.error(f"duplicate {what} {self.tokens[self.pos]!r} in gate {gate!r}")
+            names.append(self.expect_a("id"))
+        return names
 
     # -- expressions ------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """
 Rewrites controlled gates into the {u, p, cx} primitive basis and records,
-for each controlled gate with control qubits, one Origin: its controls and
-where its cx gates landed, so coverage can attribute each condition back to
-the controlled gate it came from.
+for each controlled gate with control qubits, one Origin: its controls,
+where its cx gates landed and the labels of the probes that read them, so
+instrument() and coverage attribute each condition back to the controlled
+gate it came from.
 
 RULES maps every controlled kind to a fixed DecompositionRule, built once at
 import.  The rules are not re-checked at run time: the test suite checks
@@ -232,12 +233,24 @@ RULES: dict[GateKind, DecompositionRule] = {
 
 @dataclass(frozen=True)
 class Origin:
-    """One tracked controlled gate and where its expansion landed.
+    """One tracked controlled gate, where its expansion landed and its probes.
 
     id is the gate's instruction id in the input circuit and controls its
     control qubits.  cx_positions index the expansion's cx gates in the
     transpiled instruction list, in program order: the j-th is condition j.
     block_end is the position just past the expansion's last instruction.
+
+    cx_labels holds one (value, probability) label pair per condition, read
+    on its cx's control right after that cx; control_labels one pair per
+    control, read at the end of the block.  The labels follow the scheme
+
+        <kind>_<gi>_cx_<j>_value / _probability      condition level
+        <kind>_<gi>_value_<k> / _probability_<k>     decision level
+
+    where gi is the 1-based ordinal of the origin among same-kind origins in
+    program order, j the condition and k the control ordinal.  A bare cx is
+    labelled at both levels: it is a one-cx expansion of itself, so its
+    condition and decision values coincide.
     """
 
     id: int
@@ -245,6 +258,8 @@ class Origin:
     controls: tuple[int, ...]
     cx_positions: tuple[int, ...]
     block_end: int
+    cx_labels: tuple[tuple[str, str], ...]
+    control_labels: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -265,6 +280,7 @@ def transpile(circuit: Circuit) -> TranspiledCircuit:
     # every output instruction is built once, with its position as its id
     out: list[Instruction] = []
     origins: list[Origin] = []
+    ordinals: dict[GateKind, int] = {}
     for instr in circuit.instructions:
         assert isinstance(instr, GateInstruction)
         spec = SPECS[instr.kind]
@@ -278,10 +294,16 @@ def transpile(circuit: Circuit) -> TranspiledCircuit:
         for kind, values, qubits in RULES[instr.kind].expand(instr.params, instr.qubits):
             out.append(GateInstruction(len(out), kind, qubits, values))
         if spec.controls:
+            gi = ordinals[instr.kind] = ordinals.get(instr.kind, 0) + 1
+            name = f"{instr.kind.value}_{gi}"
+            cx = tuple(pos for pos in range(start, len(out)) if out[pos].kind is GateKind.CX)
             origins.append(Origin(
                 instr.id, instr.kind, tuple(instr.qubits[i] for i in spec.controls),
-                tuple(pos for pos in range(start, len(out)) if out[pos].kind is GateKind.CX),
-                len(out)))
+                cx, len(out),
+                tuple((f"{name}_cx_{j}_value", f"{name}_cx_{j}_probability")
+                      for j in range(1, len(cx) + 1)),
+                tuple((f"{name}_value_{k}", f"{name}_probability_{k}")
+                      for k in range(1, len(spec.controls) + 1))))
 
     result = Circuit(circuit.num_qubits, circuit.num_clbits, tuple(out))
     return TranspiledCircuit(result, tuple(origins))

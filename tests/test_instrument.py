@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 
 from corpus_util import SWAP_TEST_QASM, build, circuits_equal, random_circuit
-from qcover import probes
 from qcover.coverage import analyze
 from qcover.probes import instrument, strip_probes, render
 from qcover.ir import GateKind, Probe, validate
@@ -131,23 +130,25 @@ def test_render_marks_probes_as_comments():
     assert "label=cswap_1_cx_1_value" in text
 
 
-def test_instrument_and_analyze_build_one_plan_per_circuit_object(monkeypatch):
-    made = []
-    real = probes.OriginProbeSet
-    monkeypatch.setattr(probes, "OriginProbeSet",
-                        lambda *fields: made.append(fields) or real(*fields))
-    circuit = parse(SWAP_TEST_QASM + "ccx q[0],q[1],q[2];\n")
-    for objects in (1, 2):
-        t = transpile(circuit)
-        analyze(run(instrument(t)).probes, t)
-        # two origins, planned once per transpiled object
-        assert len(t.origins) == 2 and len(made) == 2 * objects
-    # the plan kept is the last circuit's; it does not keep that alive, and
-    # it goes when the circuit goes
-    plan = probes.probe_plan(t)
-    assert probes.probe_plan(t) is plan
+def test_probes_carry_the_origins_labels_and_go_with_the_circuit():
+    circuit = parse(SWAP_TEST_QASM + "ccx q[0],q[1],q[2];\ncx q[1],q[2];\ncx q[2],q[0];\n")
+    t = transpile(circuit)
+    # name with its per-kind ordinal, conditions, controls
+    expected = [("cswap_1", 7, 1), ("ccx_1", 6, 2), ("cx_1", 1, 1), ("cx_2", 1, 1)]
+    assert len(t.origins) == len(expected)
+    for o, (name, conditions, controls) in zip(t.origins, expected):
+        assert o.cx_labels == tuple((f"{name}_cx_{j}_value", f"{name}_cx_{j}_probability")
+                                    for j in range(1, conditions + 1))
+        assert o.control_labels == tuple((f"{name}_value_{k}", f"{name}_probability_{k}")
+                                         for k in range(1, controls + 1))
+    # instrument() emits exactly these labels: conditions then controls,
+    # origin by origin
+    assert _labels(instrument(t)) == [label for o in t.origins
+                                      for pair in o.cx_labels + o.control_labels
+                                      for label in pair]
+    # the labels live in the circuit's origins, so nothing outlives it
+    analyze(run(instrument(t)).probes, t)
     ref = weakref.ref(t)
     del t
     gc.collect()
     assert ref() is None
-    assert probes._last is None

@@ -400,6 +400,20 @@ def test_barrier_rejects_a_repeated_operand():
     assert len(parse(_HEADER + "barrier q[1], q[0];\n").instructions) == 1
 
 
+def test_gate_rejects_a_repeated_qubit_argument():
+    # both operands would bind to one name, and q[0] would be dropped
+    with pytest.raises(QasmError, match="duplicate qubit argument 'a' in gate 'g'") as info:
+        parse(_HEADER + "gate g a, a { x a; }\ng q[0], q[1];\n", "g.qasm")
+    assert (info.value.span.line, info.value.span.col_start) == (4, 11)
+
+
+def test_gate_rejects_a_repeated_parameter():
+    # rz(t) would take whichever value was bound to t last
+    with pytest.raises(QasmError, match="duplicate parameter 't' in gate 'g'") as info:
+        parse(_HEADER + "gate g(t, t) a { rz(t) a; }\ng(1, 2) q[0];\n", "g.qasm")
+    assert (info.value.span.line, info.value.span.col_start) == (4, 11)
+
+
 def test_every_circuit_parse_accepts_passes_validate():
     # the CLI loads a file with parse alone: whatever parse accepts must
     # already meet every check of ir.validate

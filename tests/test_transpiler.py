@@ -70,7 +70,9 @@ def test_transpile_bare_cx_is_its_own_expansion():
     circuit = build(2, 0, [(GateKind.H, (0,)), (GateKind.CX, (0, 1))])
     t = transpile(circuit)
     assert circuits_equal(t.circuit, circuit)
-    assert t.origins == (Origin(1, GateKind.CX, (0,), (1,), 2),)
+    assert t.origins == (Origin(1, GateKind.CX, (0,), (1,), 2,
+                                (("cx_1_cx_1_value", "cx_1_cx_1_probability"),),
+                                (("cx_1_value_1", "cx_1_probability_1"),)),)
 
 
 def test_transpile_ccx_counts():
