@@ -71,6 +71,26 @@ are never computed, so their +0 or -0 is not tracked.  A smaller state
 keeps every qubit live from the start: on states that small the
 bookkeeping costs more than it saves.
 
+Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more
+plays the rest split on its top qubit (_Live._halves).  A gate off the top
+qubit acts on the two halves of the state apart, so its kernel() step for
+n - 1 qubits runs on each half; a helper thread plays the upper half while
+the calling thread plays the lower one.  A gate on the top qubit or a
+measurement runs on the whole state as before.  Every amplitude goes
+through the numpy calls of the whole-state step (only the tiles are
+larger), so the state is the same bit for bit.  A probe read is marginal()
+of each half, and the two halves' sums are added (for the top qubit, the
+two sums of each half): numpy's pairwise sum of more than 128 contiguous
+floats makes that very addition at the midpoint of marginal()'s buffer for
+the whole state (tests/test_live_qubits.py checks it), so probe values are
+the same bit for bit too.  Each thread reads into a buffer half the size of
+the whole state's, and the tiles of both threads' dense kernels take half
+the state's bytes.  The threads play segments of at most _SEGMENT steps and
+reads, so an exception (a time limit) waits for one segment at most.  The
+helper lives only while a split run does, joined before run() returns or
+raises; where the process may use one CPU only, the calling thread plays
+both halves, one after the other.
+
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
 collapses its qubit using a seeded generator.  The kernels give the same
@@ -84,15 +104,18 @@ repeated sampling adds nothing to coverage.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gates
-from .ir import SPECS, Circuit, GateKind, Probe
+from .ir import SPECS, Circuit, GateKind, Instruction, Probe
 
 DEFAULT_QUBIT_LIMIT = 26
 
@@ -270,14 +293,16 @@ def _no_op(state: np.ndarray) -> None:
 
 
 def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
-           num_qubits: int) -> Step:
+           num_qubits: int, block: int | None = None) -> Step:
     """One gate bound to its operands: a step that applies it in place to
     any state of num_qubits qubits (barrier and id do nothing).
 
     The matrix or scalar factors, view shapes, sector indices, axis orders
-    and tiles are worked out here, once, so replaying a step costs only its
-    numpy calls.  Raises SimulationError for a measurement.
+    and tiles (of block amplitudes, _BLOCK by default) are worked out here,
+    once, so replaying a step costs only its numpy calls.  Raises
+    SimulationError for a measurement.
     """
+    block = block or _BLOCK
     if kind is GateKind.P:
         return _phase(qubits[0], np.exp(1j * params[0]))
     if kind in _NO_OP:
@@ -286,17 +311,17 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
         raise SimulationError("apply_gate cannot process measurements")
     plans = _MONOMIAL.get(kind)
     if plans is not None:
-        return _monomial(plans, qubits, num_qubits)
+        return _monomial(plans, qubits, num_qubits, block)
     mat = gates.matrix(kind, params)
     # not on one qubit, where each half is one amplitude: see _dense_1q
     if kind in _DIAGONAL and num_qubits > 1:
         return _diagonal(mat, qubits[0])
     if len(qubits) == 1:
-        return _dense_1q(mat, qubits[0], num_qubits)
+        return _dense_1q(mat, qubits[0], num_qubits, block)
     # on the controls-one sector; not where the gate spans the state, whose
     # one column numpy multiplies by another path than the full matrix
     controls = _SECTOR.get(kind, ()) if num_qubits > len(qubits) else ()
-    return _tensor(mat, qubits, num_qubits, controls)
+    return _tensor(mat, qubits, num_qubits, block, controls)
 
 
 def apply_gate(state: np.ndarray, kind: GateKind,
@@ -305,18 +330,19 @@ def apply_gate(state: np.ndarray, kind: GateKind,
     kernel(kind, params, qubits, state.size.bit_length() - 1)(state)
 
 
-def _tiles(shape: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple]]:
-    """Cover an array of this shape (powers of two, more than _BLOCK
-    elements in all) in C order with tiles of _BLOCK elements.
+def _tiles(shape: tuple[int, ...],
+           block: int) -> tuple[tuple[int, ...], list[tuple]]:
+    """Cover an array of this shape (powers of two, more than block
+    elements in all) in C order with tiles of block elements.
 
     A tile fixes the leading axes, takes a run of one axis and all of the
     axes after it.  Returns the tiles' shape and their index tuples.
     """
     inner, axis = 1, len(shape)
-    while inner * shape[axis - 1] <= _BLOCK:
+    while inner * shape[axis - 1] <= block:
         axis -= 1
         inner *= shape[axis]
-    run = _BLOCK // inner
+    run = block // inner
     lead = itertools.product(*(range(size) for size in shape[:axis - 1]))
     tiles = [index + (slice(start, start + run),)
              for index in lead for start in range(0, shape[axis - 1], run)]
@@ -338,7 +364,7 @@ def _operand_view(qubits: tuple[int, ...],
 
 
 def _monomial(plans: dict[tuple[int, ...], tuple], qubits: tuple[int, ...],
-              n: int) -> Step:
+              n: int, block: int) -> Step:
     """A monomial kind's cycles (plans: its _MONOMIAL entry) on the operand
     sectors: sector j of a cycle takes units[j] times sector j + 1, the last
     sector the first's.  A sector that maps to itself is scaled in place in
@@ -346,9 +372,9 @@ def _monomial(plans: dict[tuple[int, ...], tuple], qubits: tuple[int, ...],
     shape, axes = _operand_view(qubits, n)
     cycles = plans[axes]
     tiles = None
-    if 1 << (n - len(qubits)) > _BLOCK:
+    if 1 << (n - len(qubits)) > block:
         tile_shape, tiles = _tiles(tuple(size for axis, size in enumerate(shape)
-                                         if axis not in axes))
+                                         if axis not in axes), block)
 
     def step(state: np.ndarray) -> None:
         view = state.reshape(shape)
@@ -407,11 +433,11 @@ def _diagonal(mat: np.ndarray, qubit: int) -> Step:
     return step
 
 
-def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
+def _dense_1q(mat: np.ndarray, qubit: int, n: int, block: int) -> Step:
     shape = (-1, 2, 1 << qubit)
     lo_half, hi_half = _HALF
     m00, m01, m10, m11 = mat[0, 0], mat[0, 1], mat[1, 0], mat[1, 1]
-    if 1 << (n - 1) <= _BLOCK:
+    if 1 << (n - 1) <= block:
         def step(state: np.ndarray) -> None:
             view = state.reshape(shape)
             lo = view[lo_half]
@@ -426,7 +452,7 @@ def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
             lo[...] = new_lo
         return step
 
-    tile_shape, tiles = _tiles((1 << (n - 1 - qubit), 1 << qubit))
+    tile_shape, tiles = _tiles((1 << (n - 1 - qubit), 1 << qubit), block)
 
     def tiled(state: np.ndarray) -> None:
         view = state.reshape(shape)
@@ -447,13 +473,13 @@ def _dense_1q(mat: np.ndarray, qubit: int, n: int) -> Step:
     return tiled
 
 
-def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int,
+def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int, block: int,
             controls: tuple[int, ...] = ()) -> Step:
     """mat by BLAS matmul over a view with one axis per operand and one per
     gap; with controls (operand positions), only _fix(mat, controls) on the
     sector where they all read 1, the rest of the state left as it is.
 
-    More than _BLOCK columns go through tiles of _BLOCK columns, so a step
+    More than block columns go through tiles of block columns, so a step
     allocates no state-size temporaries.  BLAS gives each column the same
     bits whatever the column count, in multiples of 4: the tiles, a smaller
     state and the sector all match the full matrix on the whole state.
@@ -476,14 +502,14 @@ def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int,
     inverse = [order.index(axis) for axis in range(len(kept))]
     moved = tuple(shape[kept[axis]] for axis in order)
     sector = tuple(sector)
-    if 1 << (n - len(qubits)) <= _BLOCK:
+    if 1 << (n - len(qubits)) <= block:
         def step(state: np.ndarray) -> None:
             psi = state.reshape(shape)[sector]
             result = sub @ psi.transpose(order).reshape(rows, -1)
             np.copyto(psi, result.reshape(moved).transpose(inverse))
         return step
 
-    tile_shape, tiles = _tiles(moved[len(front):])
+    tile_shape, tiles = _tiles(moved[len(front):], block)
     lead = (slice(None),) * len(front)
     staged_shape = moved[:len(front)] + tile_shape
 
@@ -673,6 +699,144 @@ class _Live:
             self._expand(min(self.zero))
         return self.state
 
+    def play(self, instructions: Iterable[Instruction],
+             rng: np.random.Generator | None) -> tuple[ProbeLog, dict[int, int]]:
+        """Run instructions in order; returns the probe log and the
+        measurements (skipped when rng is None).  Once a run of _SPLIT_MIN
+        qubits or more holds no qubit in zero, the rest runs split on the
+        top qubit (_halves)."""
+        log: ProbeLog = {}
+        measurements: dict[int, int] = {}
+        # marginals read since the last non-probe instruction, by qubit
+        reads: dict[int, tuple[float, float]] = {}
+        splits = self.n >= _SPLIT_MIN
+        todo = iter(instructions)
+        for instr in todo:
+            if splits and not self.zero:
+                self._halves(itertools.chain((instr,), todo), log, measurements, rng)
+                break
+            if isinstance(instr, Probe):
+                _check_label(log, instr)
+                if instr.qubit not in reads:
+                    reads[instr.qubit] = self.marginal(instr.qubit)
+                _record(log, instr, reads[instr.qubit])
+                continue
+            reads.clear()
+            if instr.kind is not GateKind.MEASURE:
+                self.apply(instr.kind, instr.params, instr.qubits)
+            elif rng is not None:
+                measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
+        return log, measurements
+
+    def _halves(self, todo: Iterator[Instruction], log: ProbeLog,
+                measurements: dict[int, int],
+                rng: np.random.Generator | None) -> None:
+        """play() on a state with no qubit in zero, split on its top qubit.
+
+        Gates off the top qubit and probe reads gather into a segment of
+        steps and reads for either half.  A helper thread plays a segment
+        on the upper half while this thread plays it on the lower one; on
+        one CPU this thread plays both, one after the other.  A gate on the
+        top qubit, a measurement or a full segment first plays the segment;
+        the first two then run on the whole state.
+        """
+        top = self.n - 1
+        halves = self.state[:1 << top], self.state[1 << top:]
+        # fewer, larger tiles than _BLOCK take fewer numpy calls, each of
+        # which takes the GIL; the four dense tiles of both threads (1/16 of
+        # the state each) then take half the state's bytes, the most that
+        # keeps a split 16-qubit run under 1.6 states (tests/test_split.py)
+        block = max(_BLOCK, 1 << (self.n - 4))
+        # the segment: kernel() steps and marginal() reads for n - 1 qubits
+        items: list[Callable[[np.ndarray], tuple[float, float] | None]] = []
+        # its probes, each with the index of its read in items
+        probes: list[tuple[Probe, int]] = []
+        # reads since the last non-probe instruction, by qubit
+        reads: dict[int, int] = {}
+        with ThreadPoolExecutor(1) if _cpus() > 1 else contextlib.nullcontext() as helper:
+            def flush() -> None:
+                if not items:
+                    return
+                if helper is None:
+                    lower, upper = _play(halves[0], items), _play(halves[1], items)
+                else:
+                    pending = helper.submit(_play, halves[1], items)
+                    lower = _play(halves[0], items)
+                    upper = pending.result()
+                # the top qubit reads 0 on the whole lower half: marginal()
+                # sums it as its two quarters, read as qubit top - 1, added
+                for probe, i in probes:
+                    a, b = lower[i], upper[i]
+                    _record(log, probe, (a[0] + a[1], b[0] + b[1]) if probe.qubit == top
+                            else (a[0] + b[0], a[1] + b[1]))
+                items.clear()
+                probes.clear()
+
+            for instr in todo:
+                if isinstance(instr, Probe):
+                    _check_label(log, instr)
+                    qubit = min(instr.qubit, top - 1)
+                    if qubit not in reads:
+                        reads[qubit] = len(items)
+                        items.append(functools.partial(marginal, qubit=qubit))
+                    probes.append((instr, reads[qubit]))
+                    log[instr.label] = None  # its place; flush() fills it in
+                    continue
+                reads.clear()
+                kind = instr.kind
+                if kind in _NO_OP or (kind is GateKind.MEASURE and rng is None):
+                    continue
+                if kind is GateKind.MEASURE:
+                    flush()
+                    measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
+                elif top in instr.qubits:
+                    flush()
+                    self.apply(kind, instr.params, instr.qubits)
+                else:
+                    if len(items) >= _SEGMENT:
+                        flush()
+                    items.append(kernel(kind, instr.params, instr.qubits, top, block))
+            flush()
+
+
+# the fewest qubits a run splits at.  Below 17 a half kernel's numpy calls
+# are too short to gain on the GIL hand-offs between the threads: on two
+# x86-64 CPUs (2 MiB of L2 each) cover_wide-like runs at 14 to 16 qubits
+# took 1.2 to 1.4 times as long split, and at 17, 18 and 19 qubits 0.94,
+# 0.65 and 0.62 times.  The reads need n >= 9: the whole state's marginal()
+# sums 2^(n-1) floats, and numpy sums more than 128 contiguous floats
+# pairwise, the first half, then the second, then adds the two, as
+# _halves adds the two halves' sums.
+_SPLIT_MIN = 17
+
+# the most steps and reads a split run gathers into one segment: an
+# exception (a time limit) leaves run() once the helper has played its half
+_SEGMENT = 16
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _play(half: np.ndarray, items: list[Callable]) -> list:
+    """Apply a segment's steps and reads to one half, in order: what each
+    returned (None for a step)."""
+    return [item(half) for item in items]
+
+
+def _check_label(log: ProbeLog, probe: Probe) -> None:
+    if probe.label in log:
+        raise SimulationError(f"duplicate probe label {probe.label!r}")
+
+
+def _record(log: ProbeLog, probe: Probe, read: tuple[float, float]) -> None:
+    p0, p1 = read
+    log[probe.label] = (p0 - p1) if probe.mode == "expectation" else (p0, p1)
+
 
 def _check_initial(initial: np.ndarray, num_qubits: int) -> np.ndarray:
     state = np.asarray(initial, dtype=np.complex128).reshape(-1).copy()
@@ -705,26 +869,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     _check_width(n, qubit_limit)
     state = zero_state(n) if initial is None else _check_initial(initial, n)
     live = _Live(state, n, initial is None)
-    rng = np.random.default_rng(seed)
-    log: ProbeLog = {}
-    measurements: dict[int, int] = {}
-    # marginals read since the last non-probe instruction, by qubit
-    reads: dict[int, tuple[float, float]] = {}
-    for instr in circuit.instructions:
-        if isinstance(instr, Probe):
-            if instr.label in log:
-                raise SimulationError(f"duplicate probe label {instr.label!r}")
-            if instr.qubit not in reads:
-                reads[instr.qubit] = live.marginal(instr.qubit)
-            p0, p1 = reads[instr.qubit]
-            log[instr.label] = (p0 - p1) if instr.mode == "expectation" else (p0, p1)
-            continue
-        reads.clear()
-        kind, params, qubits = instr.kind, instr.params, instr.qubits
-        if kind is GateKind.MEASURE:
-            measurements[instr.clbits[0]] = live.measure(qubits[0], rng)
-            continue
-        live.apply(kind, params, qubits)
+    log, measurements = live.play(circuit.instructions, np.random.default_rng(seed))
     state = live.expanded()
     _check_norm(state)
     return RunResult(state, log, measurements)
@@ -754,11 +899,10 @@ def statevector_of(circuit: Circuit, *,
     Measurements are skipped (the state is taken before any collapse);
     probes are not allowed.
     """
-    ops = gate_ops(circuit, qubit_limit)
+    gate_ops(circuit, qubit_limit)  # its checks
     n = circuit.num_qubits
     live = _Live(zero_state(n), n, True)
-    for op in ops:
-        live.apply(*op)
+    live.play(circuit.instructions, None)
     return live.expanded()
 
 

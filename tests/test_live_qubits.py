@@ -275,6 +275,27 @@ def test_blas_gives_a_column_the_same_bits_in_any_multiple_of_four():
             assert part.tobytes() == np.ascontiguousarray(whole[:, :c]).tobytes(), (k, c)
 
 
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_numpy_sums_a_power_of_two_as_its_two_halves_added():
+    # a split run's read: each thread sums its half of what marginal() sums
+    # and the two sums are added.  numpy's pairwise sum of more than 128
+    # contiguous floats makes that same addition at the midpoint.
+    rng = np.random.default_rng(20)
+    for k in range(8, 21):
+        a = np.square(np.abs(_complex(rng, (1 << k,))))
+        h = a.size // 2
+        assert _bits(a.sum()) == _bits(a[:h].sum() + a[h:].sum()), k
+        # marginal()'s (high, low) buffer: the rows where the top qubit
+        # reads 0 come first
+        for low in (1, 1 << 3, 1 << (k - 1)):
+            buf = a.reshape(-1, low)
+            rows = len(buf) // 2
+            assert _bits(buf.sum()) == _bits(buf[:rows].sum() + buf[rows:].sum()), (k, low)
+
+
 @pytest.mark.parametrize("kind", sorted(simulator._SECTOR, key=lambda kind: kind.value))
 def test_blas_gives_a_sector_row_the_bits_of_the_full_matrix(kind):
     # the sector kernel multiplies the controls-one rows alone; off them the
