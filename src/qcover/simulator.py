@@ -7,10 +7,12 @@ works out the matrix or scalar factors, the view shapes, the sector indices,
 the axis orders and the tiles once and returns a step that applies the gate
 in place (barrier and id share one that does nothing; measure has none).
 gate_ops() is a circuit's gate list, the kernel() arguments of every
-instruction but measurements and barriers; statevector_of() applies it, and
-the mutation judge reads it once per circuit.  run() and statevector_of()
-build one step per distinct gate of a circuit and reuse it while the state
-is too small for tiles.  Steps apply gates through stride-based views:
+instruction but measurements and barriers; the mutation judge reads it once
+per circuit, and statevector_of() calls it for its probe and width checks
+only.  run() and statevector_of() play a circuit's instructions through one
+loop, _Live.play; they build one step per distinct gate of a circuit and
+reuse it while the state is too small for tiles.  Steps apply gates
+through stride-based views:
 
 - the monomial kinds, whose matrix has one nonzero entry per row, each in
   {1, -1, 1j, -1j} (x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx
@@ -71,25 +73,26 @@ are never computed, so their +0 or -0 is not tracked.  A smaller state
 keeps every qubit live from the start: on states that small the
 bookkeeping costs more than it saves.
 
-Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more
-plays the rest split on its top qubit (_Live._halves).  A gate off the top
-qubit acts on the two halves of the state apart, so its kernel() step for
-n - 1 qubits runs on each half; a helper thread plays the upper half while
-the calling thread plays the lower one.  A gate on the top qubit or a
-measurement runs on the whole state as before.  Every amplitude goes
-through the numpy calls of the whole-state step (only the tiles are
-larger), so the state is the same bit for bit.  A probe read is marginal()
-of each half, and the two halves' sums are added (for the top qubit, the
-two sums of each half): numpy's pairwise sum of more than 128 contiguous
-floats makes that very addition at the midpoint of marginal()'s buffer for
-the whole state (tests/test_live_qubits.py checks it), so probe values are
-the same bit for bit too.  Each thread reads into a buffer half the size of
-the whole state's, and the tiles of both threads' dense kernels take half
-the state's bytes.  The threads play segments of at most _SEGMENT steps and
-reads, so an exception (a time limit) waits for one segment at most.  The
-helper lives only while a split run does, joined before run() returns or
-raises; where the process may use one CPU only, the calling thread plays
-both halves, one after the other.
+Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more that
+may use two CPUs or more plays the rest split on its top qubit
+(_Live._halves).  A gate off the top qubit acts on the two halves of the
+state apart, so its kernel() step for n - 1 qubits runs on each half; a
+helper thread plays the upper half while the calling thread plays the
+lower one.  A gate on the top qubit or a measurement runs on the whole
+state as before.  Every amplitude goes through the numpy calls of the
+whole-state step (only the tiles are larger), so the state is the same bit
+for bit.  A probe read is marginal() of each half, and the two halves'
+sums are added (for the top qubit, the two sums of each half): numpy's
+pairwise sum of more than 128 contiguous floats makes that very addition at
+the midpoint of marginal()'s buffer for the whole state
+(tests/test_live_qubits.py checks it), so probe values are the same bit for
+bit too.  Each thread reads into a buffer half the size of the whole
+state's, and the tiles of both threads' kernels take half the state's
+bytes.  The threads play segments of at most _SEGMENT steps and reads
+together, so an exception (a time limit) waits for one segment at most.
+The helper lives only while a split run does, joined before run() returns
+or raises.  Where the process may use one CPU only, nothing splits: the
+halves played in turn took as long as the whole state.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -104,7 +107,6 @@ repeated sampling adds nothing to coverage.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import itertools
 import os
@@ -479,10 +481,13 @@ def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int, block: int,
     gap; with controls (operand positions), only _fix(mat, controls) on the
     sector where they all read 1, the rest of the state left as it is.
 
-    More than block columns go through tiles of block columns, so a step
-    allocates no state-size temporaries.  BLAS gives each column the same
-    bits whatever the column count, in multiples of 4: the tiles, a smaller
-    state and the sector all match the full matrix on the whole state.
+    More columns than max(_BLOCK, 2 * block / rows) go through tiles of that
+    many columns, so a step allocates no state-size temporaries; past
+    _BLOCK columns an operand tile holds 2 * block amplitudes whatever its
+    rows, so operand and result stage what the dense 2x2 kernel's four tiles
+    do.  BLAS gives each column the same bits whatever the column count, in
+    multiples of 4: the tiles, a smaller state and the sector all match the
+    full matrix on the whole state.
     """
     shape, axes = _operand_view(qubits, n)
     sector = [slice(None)] * len(shape)
@@ -492,6 +497,7 @@ def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int, block: int,
             if axis not in [axes[c] for c in controls]]
     sub = _fix(mat, controls) if controls else mat
     rows = len(sub)
+    columns = max(_BLOCK, block * 2 // rows)
     # bring the target axes to the front most-significant-first, so the
     # flattened index is little-endian in the targets, and put them back
     # with the inverse order; the other axes keep their order, so the
@@ -502,14 +508,14 @@ def _tensor(mat: np.ndarray, qubits: tuple[int, ...], n: int, block: int,
     inverse = [order.index(axis) for axis in range(len(kept))]
     moved = tuple(shape[kept[axis]] for axis in order)
     sector = tuple(sector)
-    if 1 << (n - len(qubits)) <= block:
+    if 1 << (n - len(qubits)) <= columns:
         def step(state: np.ndarray) -> None:
             psi = state.reshape(shape)[sector]
             result = sub @ psi.transpose(order).reshape(rows, -1)
             np.copyto(psi, result.reshape(moved).transpose(inverse))
         return step
 
-    tile_shape, tiles = _tiles(moved[len(front):], block)
+    tile_shape, tiles = _tiles(moved[len(front):], columns)
     lead = (slice(None),) * len(front)
     staged_shape = moved[:len(front)] + tile_shape
 
@@ -709,7 +715,7 @@ class _Live:
         measurements: dict[int, int] = {}
         # marginals read since the last non-probe instruction, by qubit
         reads: dict[int, tuple[float, float]] = {}
-        splits = self.n >= _SPLIT_MIN
+        splits = self.n >= _SPLIT_MIN and _cpus() > 1
         todo = iter(instructions)
         for instr in todo:
             if splits and not self.zero:
@@ -735,17 +741,17 @@ class _Live:
 
         Gates off the top qubit and probe reads gather into a segment of
         steps and reads for either half.  A helper thread plays a segment
-        on the upper half while this thread plays it on the lower one; on
-        one CPU this thread plays both, one after the other.  A gate on the
-        top qubit, a measurement or a full segment first plays the segment;
-        the first two then run on the whole state.
+        on the upper half while this thread plays it on the lower one.  A
+        gate on the top qubit, a measurement or a full segment first plays
+        the segment; the first two then run on the whole state.
         """
         top = self.n - 1
         halves = self.state[:1 << top], self.state[1 << top:]
         # fewer, larger tiles than _BLOCK take fewer numpy calls, each of
-        # which takes the GIL; the four dense tiles of both threads (1/16 of
-        # the state each) then take half the state's bytes, the most that
-        # keeps a split 16-qubit run under 1.6 states (tests/test_split.py)
+        # which takes the GIL; the four dense 2x2 tiles of both threads (1/16
+        # of the state each, as much as a tensor step stages) then take half
+        # the state's bytes, which keeps a split run under 1.6 states
+        # (tests/test_split.py)
         block = max(_BLOCK, 1 << (self.n - 4))
         # the segment: kernel() steps and marginal() reads for n - 1 qubits
         items: list[Callable[[np.ndarray], tuple[float, float] | None]] = []
@@ -753,16 +759,13 @@ class _Live:
         probes: list[tuple[Probe, int]] = []
         # reads since the last non-probe instruction, by qubit
         reads: dict[int, int] = {}
-        with ThreadPoolExecutor(1) if _cpus() > 1 else contextlib.nullcontext() as helper:
+        with ThreadPoolExecutor(1) as helper:
             def flush() -> None:
                 if not items:
                     return
-                if helper is None:
-                    lower, upper = _play(halves[0], items), _play(halves[1], items)
-                else:
-                    pending = helper.submit(_play, halves[1], items)
-                    lower = _play(halves[0], items)
-                    upper = pending.result()
+                pending = helper.submit(_play, halves[1], items)
+                lower = _play(halves[0], items)
+                upper = pending.result()
                 # the top qubit reads 0 on the whole lower half: marginal()
                 # sums it as its two quarters, read as qubit top - 1, added
                 for probe, i in probes:
@@ -771,12 +774,15 @@ class _Live:
                             else (a[0] + b[0], a[1] + b[1]))
                 items.clear()
                 probes.clear()
+                reads.clear()
 
             for instr in todo:
                 if isinstance(instr, Probe):
                     _check_label(log, instr)
                     qubit = min(instr.qubit, top - 1)
                     if qubit not in reads:
+                        if len(items) >= _SEGMENT:
+                            flush()
                         reads[qubit] = len(items)
                         items.append(functools.partial(marginal, qubit=qubit))
                     probes.append((instr, reads[qubit]))
@@ -802,11 +808,11 @@ class _Live:
 # the fewest qubits a run splits at.  Below 17 a half kernel's numpy calls
 # are too short to gain on the GIL hand-offs between the threads: on two
 # x86-64 CPUs (2 MiB of L2 each) cover_wide-like runs at 14 to 16 qubits
-# took 1.2 to 1.4 times as long split, and at 17, 18 and 19 qubits 0.94,
-# 0.65 and 0.62 times.  The reads need n >= 9: the whole state's marginal()
-# sums 2^(n-1) floats, and numpy sums more than 128 contiguous floats
-# pairwise, the first half, then the second, then adds the two, as
-# _halves adds the two halves' sums.
+# took 1.2 to 1.4 times as long split, at 17 qubits 0.78 to 0.99 times and
+# at 18 and 19 about 0.7 times (BENCH_26.json, its run_by_width lines).
+# The reads need n >= 9: the whole state's marginal() sums 2^(n-1) floats,
+# and numpy sums more than 128 contiguous floats pairwise, the first half,
+# then the second, then adds the two, as _halves adds the two halves' sums.
 _SPLIT_MIN = 17
 
 # the most steps and reads a split run gathers into one segment: an
@@ -877,7 +883,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
 
 def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
     """kernel() arguments of every instruction except measurements and
-    barriers, in order: what statevector_of applies.
+    barriers, in order (statevector_of calls it for its checks only).
 
     Raises SimulationError for a circuit with probes, then for one wider
     than qubit_limit.

@@ -5,7 +5,8 @@ gates off the top qubit and its probe reads on the two halves of the state,
 one half in a helper thread.  Against kernel_oracle's full-width loop it must
 give the same probe logs (by repr), the same measurements and equal states;
 against the same run unsplit, the same bytes.  The helper thread must be gone
-when run() returns or raises.
+when run() returns or raises.  A process that may use one CPU only does not
+split.
 """
 import os
 import threading
@@ -48,18 +49,24 @@ def _split_circuit(rng: np.random.Generator, n: int, count: int,
     return Circuit(n, n if with_measure else 0, renumber(instructions))
 
 
+_cpus = simulator._cpus
+
+
 @pytest.fixture
 def split_at(monkeypatch):
-    """Lower the split threshold to a width; returns a list that counts the
-    halves played."""
+    """Lower the split threshold to a width, on two CPUs whatever the host
+    allows; returns a list that counts the halves played.  No segment may
+    hold more than _SEGMENT steps and reads."""
     played = [0]
     real = simulator._play
 
     def counting(half, items):
+        assert len(items) <= simulator._SEGMENT
         played[0] += 1
         return real(half, items)
 
     monkeypatch.setattr(simulator, "_play", counting)
+    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
 
     def lower(n: int) -> list[int]:
         monkeypatch.setattr(simulator, "_SPLIT_MIN", n)
@@ -126,15 +133,16 @@ def test_split_with_tiny_tiles(split_at, monkeypatch):
     assert played[0] > 0
 
 
-def test_one_cpu_plays_both_halves_in_this_thread(split_at, monkeypatch):
+def test_one_cpu_does_not_split(split_at, monkeypatch):
     # the same bytes as the threaded schedule, and no thread started
-    split_at(14)
+    played = split_at(14)
     rng = np.random.default_rng(141)
     circuits = [_split_circuit(rng, 14, 60, bool(i)) for i in range(2)]
-    with monkeypatch.context() as m:
-        m.setattr(simulator, "_cpus", lambda: 2)
-        threaded = [simulator.run(c, seed=2) for c in circuits]
+    threaded = [simulator.run(c, seed=2) for c in circuits]
+    assert played[0] > 0
+    played[0] = 0
     started = _count_pools(monkeypatch)
+    monkeypatch.setattr(simulator, "_cpus", _cpus)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for circuit, want in zip(circuits, threaded):
         got = simulator.run(circuit, seed=2)
@@ -142,6 +150,20 @@ def test_one_cpu_plays_both_halves_in_this_thread(split_at, monkeypatch):
         assert got.measurements == want.measurements
         assert got.state.tobytes() == want.state.tobytes()
     assert started == []
+    assert played[0] == 0
+
+
+def test_reads_end_a_full_segment(split_at, monkeypatch):
+    # ten steps, then a read of every qubit: the reads past the sixteenth
+    # item go into the next segment
+    played = split_at(14)
+    n = 14
+    instructions = [GateInstruction(q, GateKind.H, (q,)) for q in range(n)]
+    instructions += [GateInstruction(0, GateKind.RX, (q,), (0.1 * q + 0.1,)) for q in range(10)]
+    instructions += [Probe(0, mode, q, f"{mode}{q}")
+                     for mode in ("expectation", "probabilities") for q in range(n)]
+    _check(Circuit(n, 0, renumber(instructions)), monkeypatch)
+    assert played[0] >= 4
 
 
 def test_duplicate_label_in_a_segment(split_at, monkeypatch):
@@ -162,7 +184,6 @@ def test_duplicate_label_in_a_segment(split_at, monkeypatch):
 
 def test_a_returned_run_leaves_no_thread(split_at, monkeypatch):
     split_at(14)
-    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
     made = _count_pools(monkeypatch)
     before = threading.active_count()
     simulator.run(_split_circuit(np.random.default_rng(5), 14, 30, True))
@@ -173,7 +194,6 @@ def test_a_returned_run_leaves_no_thread(split_at, monkeypatch):
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_a_raising_step_leaves_no_thread(side, split_at, monkeypatch):
     split_at(14)
-    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
     real = simulator.kernel
     helper_side = side == "upper"
 
@@ -200,7 +220,6 @@ def test_a_time_limit_leaves_no_thread(tmp_path, split_at, monkeypatch, capsys):
     # the alarm goes off inside the split: the helper finishes its half of
     # one segment, and the circuit is skipped
     played = split_at(16)
-    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
     n = 16
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
     lines += [f"h q[{q}];" for q in range(n)]
@@ -228,14 +247,27 @@ def test_narrower_runs_start_no_thread(n, monkeypatch):
     assert made == []
 
 
-def test_split_run_holds_one_state(split_at, monkeypatch):
+def _ecr_circuit(rng: np.random.Generator, n: int, count: int) -> Circuit:
+    """h on every qubit, then ecr, the dense two-qubit kind with no
+    control (transpile rewrites it), and probes on random qubits."""
+    instructions = [GateInstruction(q, GateKind.H, (q,)) for q in range(n)]
+    for i in range(count):
+        qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        instructions.append(GateInstruction(0, GateKind.ECR, qubits))
+        instructions.append(Probe(0, "expectation", int(rng.integers(n)), f"p{i}"))
+    return Circuit(n, 0, renumber(instructions))
+
+
+@pytest.mark.parametrize("n, raw", [(16, False), (17, True)])
+def test_split_run_holds_one_state(n, raw, split_at):
     # as test_wide_run_holds_one_state, split: both threads' tiles and reads
-    # and numpy's own buffers take no more than one thread's did
-    split_at(16)
-    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
-    n = 16
+    # and numpy's own buffers take no more than one thread's did.  A raw
+    # circuit keeps ecr, whose tensor step stages 4-row operands; past 16
+    # qubits its half tiles are larger than _BLOCK
+    played = split_at(n)
     rng = np.random.default_rng(61)
-    probed = instrument(transpile(random_circuit(rng, num_qubits=n, num_gates=80)))
+    probed = (_ecr_circuit(rng, n, 40) if raw else
+              instrument(transpile(random_circuit(rng, num_qubits=n, num_gates=80))))
     tracemalloc.start()
     try:
         simulator.run(probed)
@@ -243,3 +275,4 @@ def test_split_run_holds_one_state(split_at, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * (16 << n)
+    assert played[0] > 0
