@@ -74,22 +74,26 @@ keeps every qubit live from the start: on states that small the
 bookkeeping costs more than it saves.
 
 Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more that
-may use two CPUs or more plays the rest split on its top qubit
-(_Live._halves).  A gate off the top qubit acts on the two halves of the
-state apart, so its kernel() step for n - 1 qubits runs on each half; a
-helper thread plays the upper half while the calling thread plays the
-lower one.  A gate on the top qubit or a measurement runs on the whole
-state as before.  Every amplitude goes through the numpy calls of the
-whole-state step (only the tiles are larger), so the state is the same bit
-for bit.  A probe read is marginal() of each half, and the two halves'
-sums are added (for the top qubit, the two sums of each half): numpy's
-pairwise sum of more than 128 contiguous floats makes that very addition at
-the midpoint of marginal()'s buffer for the whole state
+may use two CPUs or more plays the rest split on its top qubits
+(_Live._split).  A gate off the top L qubits acts on the 2^L pieces of the
+state in which they are fixed apart, so its kernel() step for n - L qubits
+runs on each piece; L is 2 (_LEVELS) for a gate below qubit n - 2 and 1
+for one on it.  The calling thread and one helper thread take the pieces'
+tasks as they become ready, each its own half first (_Segment), so a
+thread slowed by another process on its CPU hands its remaining pieces to
+the other thread rather than stalling it until both are done.  A gate on
+the top qubit or a measurement runs on the whole state as before.  Every
+amplitude goes through the numpy calls of the whole-state step (only the
+tiles are larger), so the state is the same bit for bit, whichever thread
+played a piece.  A probe read is marginal() of each piece, and the pieces'
+sums are added pairwise (for a qubit above the pieces, their totals):
+numpy's pairwise sum of more than 128 contiguous floats makes those very
+additions at the midpoints of marginal()'s buffer for the whole state
 (tests/test_live_qubits.py checks it), so probe values are the same bit for
-bit too.  Each thread reads into a buffer half the size of the whole
-state's, and the tiles of both threads' kernels take half the state's
-bytes.  The threads play segments of at most _SEGMENT steps and reads
-together, so an exception (a time limit) waits for one segment at most.
+bit too.  Each thread reads into a buffer at most half the size of the
+whole state's, and the tiles of both threads' kernels take half the
+state's bytes.  A task plays a run of at most _SEGMENT steps and reads on
+one piece, so an exception (a time limit) waits for one such task at most.
 The helper lives only while a split run does, joined before run() returns
 or raises.  Where the process may use one CPU only, nothing splits: the
 halves played in turn took as long as the whole state.
@@ -110,6 +114,7 @@ import bisect
 import functools
 import itertools
 import os
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -709,8 +714,8 @@ class _Live:
              rng: np.random.Generator | None) -> tuple[ProbeLog, dict[int, int]]:
         """Run instructions in order; returns the probe log and the
         measurements (skipped when rng is None).  Once a run of _SPLIT_MIN
-        qubits or more holds no qubit in zero, the rest runs split on the
-        top qubit (_halves)."""
+        qubits or more holds no qubit in zero, the rest runs split on its
+        top qubits (_split)."""
         log: ProbeLog = {}
         measurements: dict[int, int] = {}
         # marginals read since the last non-probe instruction, by qubit
@@ -719,7 +724,7 @@ class _Live:
         todo = iter(instructions)
         for instr in todo:
             if splits and not self.zero:
-                self._halves(itertools.chain((instr,), todo), log, measurements, rng)
+                self._split(itertools.chain((instr,), todo), log, measurements, rng)
                 break
             if isinstance(instr, Probe):
                 _check_label(log, instr)
@@ -734,90 +739,199 @@ class _Live:
                 measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
         return log, measurements
 
-    def _halves(self, todo: Iterator[Instruction], log: ProbeLog,
-                measurements: dict[int, int],
-                rng: np.random.Generator | None) -> None:
-        """play() on a state with no qubit in zero, split on its top qubit.
+    def _split(self, todo: Iterator[Instruction], log: ProbeLog,
+               measurements: dict[int, int],
+               rng: np.random.Generator | None) -> None:
+        """play() on a state with no qubit in zero, split on its top qubits.
 
-        Gates off the top qubit and probe reads gather into a segment of
-        steps and reads for either half.  A helper thread plays a segment
-        on the upper half while this thread plays it on the lower one.  A
-        gate on the top qubit, a measurement or a full segment first plays
-        the segment; the first two then run on the whole state.
+        Gates and probe reads gather into runs of at most _SEGMENT steps and
+        reads, each run on the pieces of one level: at level L, the 2^L
+        pieces of 2^(n - L) amplitudes in which the top L qubits are fixed,
+        with kernel() steps for n - L qubits.  A gate takes the highest level
+        up to _LEVELS that leaves its qubits inside a piece; a read joins
+        the run before it.  A gate on the top qubit or a measurement first
+        has the gathered runs played (_Segment), then runs on the whole
+        state.
         """
-        top = self.n - 1
-        halves = self.state[:1 << top], self.state[1 << top:]
+        n = self.n
         # fewer, larger tiles than _BLOCK take fewer numpy calls, each of
         # which takes the GIL; the four dense 2x2 tiles of both threads (1/16
         # of the state each, as much as a tensor step stages) then take half
         # the state's bytes, which keeps a split run under 1.6 states
         # (tests/test_split.py)
-        block = max(_BLOCK, 1 << (self.n - 4))
-        # the segment: kernel() steps and marginal() reads for n - 1 qubits
-        items: list[Callable[[np.ndarray], tuple[float, float] | None]] = []
-        # its probes, each with the index of its read in items
-        probes: list[tuple[Probe, int]] = []
-        # reads since the last non-probe instruction, by qubit
-        reads: dict[int, int] = {}
+        block = max(_BLOCK, 1 << (n - 4))
+        # (level, kernel() steps and marginal() reads for n - level qubits)
+        runs: list[tuple[int, list[Callable]]] = []
+        # the probes, each with the run and the index of its read
+        probes: list[tuple[Probe, int, int]] = []
+        # reads since the last non-probe instruction, by qubit read
+        reads: dict[int, tuple[int, int]] = {}
+
+        def add(level: int, item: Callable) -> tuple[int, int]:
+            if not runs or runs[-1][0] != level or len(runs[-1][1]) >= _SEGMENT:
+                runs.append((level, []))
+            runs[-1][1].append(item)
+            return len(runs) - 1, len(runs[-1][1]) - 1
+
         with ThreadPoolExecutor(1) as helper:
             def flush() -> None:
-                if not items:
-                    return
-                pending = helper.submit(_play, halves[1], items)
-                lower = _play(halves[0], items)
-                upper = pending.result()
-                # the top qubit reads 0 on the whole lower half: marginal()
-                # sums it as its two quarters, read as qubit top - 1, added
-                for probe, i in probes:
-                    a, b = lower[i], upper[i]
-                    _record(log, probe, (a[0] + a[1], b[0] + b[1]) if probe.qubit == top
-                            else (a[0] + b[0], a[1] + b[1]))
-                items.clear()
+                if runs:
+                    played = _Segment(self.state, runs).play(helper)
+                    for probe, r, i in probes:
+                        _record(log, probe, _combine(probe.qubit, n - runs[r][0],
+                                                     [got[i] for got in played[r]]))
+                runs.clear()
                 probes.clear()
                 reads.clear()
 
             for instr in todo:
                 if isinstance(instr, Probe):
                     _check_label(log, instr)
-                    qubit = min(instr.qubit, top - 1)
+                    level = runs[-1][0] if runs else _LEVELS
+                    # a piece's top qubit reads every qubit above it too
+                    qubit = min(instr.qubit, n - level - 1)
                     if qubit not in reads:
-                        if len(items) >= _SEGMENT:
-                            flush()
-                        reads[qubit] = len(items)
-                        items.append(functools.partial(marginal, qubit=qubit))
-                    probes.append((instr, reads[qubit]))
+                        reads[qubit] = add(level, functools.partial(marginal, qubit=qubit))
+                    probes.append((instr, *reads[qubit]))
                     log[instr.label] = None  # its place; flush() fills it in
                     continue
                 reads.clear()
                 kind = instr.kind
                 if kind in _NO_OP or (kind is GateKind.MEASURE and rng is None):
                     continue
-                if kind is GateKind.MEASURE:
-                    flush()
-                    measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
-                elif top in instr.qubits:
-                    flush()
-                    self.apply(kind, instr.params, instr.qubits)
-                else:
-                    if len(items) >= _SEGMENT:
+                level = 0 if kind is GateKind.MEASURE else min(_LEVELS, n - 1 - max(instr.qubits))
+                if level:
+                    add(level, kernel(kind, instr.params, instr.qubits, n - level, block))
+                    if sum(len(items) for _, items in runs) >= _GATHER:
                         flush()
-                    items.append(kernel(kind, instr.params, instr.qubits, top, block))
+                    continue
+                flush()
+                if kind is GateKind.MEASURE:
+                    measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
+                else:
+                    self.apply(kind, instr.params, instr.qubits)
             flush()
 
 
-# the fewest qubits a run splits at.  Below 17 a half kernel's numpy calls
-# are too short to gain on the GIL hand-offs between the threads: on two
-# x86-64 CPUs (2 MiB of L2 each) cover_wide-like runs at 14 to 16 qubits
-# took 1.2 to 1.4 times as long split, at 17 qubits 0.78 to 0.99 times and
-# at 18 and 19 about 0.7 times (BENCH_26.json, its run_by_width lines).
-# The reads need n >= 9: the whole state's marginal() sums 2^(n-1) floats,
-# and numpy sums more than 128 contiguous floats pairwise, the first half,
-# then the second, then adds the two, as _halves adds the two halves' sums.
+# the fewest qubits a run splits at.  Below 17 a piece's numpy calls are too
+# short to gain on the GIL hand-offs between the threads: on two x86-64 CPUs
+# (2 MiB of L2 each) cover_wide-like runs at 15 and 16 qubits took 1.13 to
+# 1.28 times as long split, at 17 qubits about 0.76 times and at 18 and 19
+# 0.66 to 0.73 times (BENCH_26.json, its run_by_width lines).  The reads
+# need n >= 8 + _LEVELS (_combine).
 _SPLIT_MIN = 17
 
-# the most steps and reads a split run gathers into one segment: an
-# exception (a time limit) leaves run() once the helper has played its half
+# the most top qubits a split run fixes: four pieces, so that a thread that
+# finishes early takes over pieces of the other's half
+_LEVELS = 2
+
+# the most steps and reads in one run: an exception (a time limit) leaves
+# run() once the helper has played the run it holds on one piece
 _SEGMENT = 16
+
+# the most steps and reads gathered before they are played: their kernel()
+# steps hold tile indices, which a long stretch off the top qubit would
+# otherwise add up
+_GATHER = 4 * _SEGMENT
+
+
+class _Segment:
+    """Runs to play on the pieces of a state, by the calling thread and a
+    helper.  A task plays one run on one piece; it is ready once the run
+    before has been played on every piece that overlaps it.  Each thread
+    takes ready tasks on its own half of the state first, in run order (the
+    caller the lower half, the helper the upper), then the other half's:
+    a thread held up (by another process on its CPU) leaves its tasks to the
+    other thread instead of stalling it at every run.  The pieces hold the
+    same amplitudes however the tasks fall, so the bytes do not depend on
+    the timing."""
+
+    def __init__(self, state: np.ndarray, runs: list[tuple[int, list[Callable]]]):
+        self.runs = runs
+        self.pieces = {level: np.split(state, 1 << level) for level, _ in runs}
+        self.played: list[list] = [[None] * (1 << level) for level, _ in runs]
+        self.done: list[set[int]] = [set() for _ in runs]
+        self.todo = [(r, p) for r, (level, _) in enumerate(runs) for p in range(1 << level)]
+        self.changed = threading.Condition()
+
+    def play(self, helper: ThreadPoolExecutor) -> list[list]:
+        """What each item of each run returned, by run and piece."""
+        pending = helper.submit(self._work, 1)
+        self._work(0)
+        pending.result()
+        return self.played
+
+    def _ready(self, r: int, p: int) -> bool:
+        if r == 0:
+            return True
+        level, before = self.runs[r][0], self.runs[r - 1][0]
+        if before <= level:
+            return p >> (level - before) in self.done[r - 1]
+        shift = before - level
+        return all(q in self.done[r - 1] for q in range(p << shift, (p + 1) << shift))
+
+    def _claim(self, side: int) -> tuple[int, int] | None:
+        def order(task: tuple[int, int]) -> tuple[bool, int, int]:
+            r, p = task
+            level = self.runs[r][0]
+            return (p >> (level - 1) != side, r, p if side == 0 else -p)
+        ready = [task for task in self.todo if self._ready(*task)]
+        if not ready:
+            return None
+        task = min(ready, key=order)
+        self.todo.remove(task)
+        return task
+
+    def _work(self, side: int) -> None:
+        try:
+            while True:
+                with self.changed:
+                    task = self._claim(side)
+                    while task is None:
+                        if not self.todo:
+                            return
+                        # every task left waits on one the other thread holds
+                        self.changed.wait()
+                        task = self._claim(side)
+                r, p = task
+                level, items = self.runs[r]
+                self.played[r][p] = _play(self.pieces[level][p], items)
+                with self.changed:
+                    self.done[r].add(p)
+                    self.changed.notify()
+        except BaseException:
+            # the other thread stops after the task it holds
+            with self.changed:
+                self.todo.clear()
+                self.changed.notify()
+            raise
+
+
+def _combine(qubit: int, top: int, reads: list[tuple[float, float]]) -> tuple[float, float]:
+    """The whole state's marginal() of a qubit from each piece's marginal()
+    of min(qubit, top - 1), for pieces of top qubits each.
+
+    marginal() sums a buffer of 2^(n - 1) floats, and numpy sums more than
+    128 contiguous floats pairwise: the first half, then the second, then
+    the two added (tests/test_live_qubits.py).  Split down to 2^(top - 1)
+    floats, that is the pairwise addition of the pieces' sums in order:
+    of their (p0, p1) for a qubit below the pieces' top; for a qubit above,
+    of their totals p0 + p1 (the same split once more), over the pieces
+    where the qubit reads 0 and over those where it reads 1."""
+    if qubit < top:
+        return _pairwise([r[0] for r in reads]), _pairwise([r[1] for r in reads])
+    totals = [p0 + p1 for p0, p1 in reads]
+    bit = 1 << (qubit - top)
+    return (_pairwise([t for i, t in enumerate(totals) if not i & bit]),
+            _pairwise([t for i, t in enumerate(totals) if i & bit]))
+
+
+def _pairwise(sums: list[float]) -> float:
+    """Add a power-of-two count of sums as numpy's pairwise sum adds the
+    halves of its buffer."""
+    while len(sums) > 1:
+        sums = [sums[i] + sums[i + 1] for i in range(0, len(sums), 2)]
+    return sums[0]
 
 
 def _cpus() -> int:
@@ -828,10 +942,10 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _play(half: np.ndarray, items: list[Callable]) -> list:
-    """Apply a segment's steps and reads to one half, in order: what each
+def _play(piece: np.ndarray, items: list[Callable]) -> list:
+    """Apply a run's steps and reads to one piece, in order: what each
     returned (None for a step)."""
-    return [item(half) for item in items]
+    return [item(piece) for item in items]
 
 
 def _check_label(log: ProbeLog, probe: Probe) -> None:

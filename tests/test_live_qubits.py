@@ -280,9 +280,10 @@ def _bits(value: float) -> bytes:
 
 
 def test_numpy_sums_a_power_of_two_as_its_two_halves_added():
-    # a split run's read: each thread sums its half of what marginal() sums
-    # and the two sums are added.  numpy's pairwise sum of more than 128
-    # contiguous floats makes that same addition at the midpoint.
+    # a split run's read: each piece's part of what marginal() sums is summed
+    # apart, and the sums are added pairwise (simulator._combine).  numpy's
+    # pairwise sum of more than 128 contiguous floats makes that same
+    # addition at the midpoint, and again in each half down to the pieces.
     rng = np.random.default_rng(20)
     for k in range(8, 21):
         a = np.square(np.abs(_complex(rng, (1 << k,))))

@@ -1,15 +1,17 @@
-"""Wide runs split on their top qubit (simulator._Live._halves).
+"""Wide runs split on their top qubits (simulator._Live._split).
 
 Once no qubit is held in |0>, a run of at least _SPLIT_MIN qubits plays its
-gates off the top qubit and its probe reads on the two halves of the state,
-one half in a helper thread.  Against kernel_oracle's full-width loop it must
-give the same probe logs (by repr), the same measurements and equal states;
-against the same run unsplit, the same bytes.  The helper thread must be gone
-when run() returns or raises.  A process that may use one CPU only does not
-split.
+gates off the top qubit and its probe reads on pieces of the state, which
+the calling thread and a helper thread take as they become ready.  Against
+kernel_oracle's full-width loop it must give the same probe logs (by repr),
+the same measurements and equal states; against the same run unsplit, the
+same bytes, however the pieces fall to the threads.  The helper thread must
+be gone when run() returns or raises.  A process that may use one CPU only
+does not split.
 """
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -55,15 +57,15 @@ _cpus = simulator._cpus
 @pytest.fixture
 def split_at(monkeypatch):
     """Lower the split threshold to a width, on two CPUs whatever the host
-    allows; returns a list that counts the halves played.  No segment may
-    hold more than _SEGMENT steps and reads."""
+    allows; returns a list that counts the pieces played.  No run may hold
+    more than _SEGMENT steps and reads."""
     played = [0]
     real = simulator._play
 
-    def counting(half, items):
+    def counting(piece, items):
         assert len(items) <= simulator._SEGMENT
         played[0] += 1
-        return real(half, items)
+        return real(piece, items)
 
     monkeypatch.setattr(simulator, "_play", counting)
     monkeypatch.setattr(simulator, "_cpus", lambda: 2)
@@ -122,13 +124,14 @@ def test_split_at_the_default_width(split_at, monkeypatch):
 
 
 def test_split_with_tiny_tiles(split_at, monkeypatch):
-    # 8 amplitudes a tile and a split from 9 qubits, the fewest whose reads
-    # numpy's pairwise sum splits at the midpoint
+    # 8 amplitudes a tile and a split from 8 + _LEVELS qubits, the fewest
+    # whose pieces' reads numpy's pairwise sum splits at their midpoints
     monkeypatch.setattr(simulator, "_BLOCK", 8)
-    played = split_at(9)
+    low = 8 + simulator._LEVELS
+    played = split_at(low)
     rng = np.random.default_rng(9)
     for i in range(12):
-        n = int(rng.integers(9, 12))
+        n = int(rng.integers(low, low + 3))
         _check(_split_circuit(rng, n, 40, bool(i % 2)), monkeypatch)
     assert played[0] > 0
 
@@ -178,7 +181,7 @@ def test_duplicate_label_in_a_segment(split_at, monkeypatch):
     with pytest.raises(simulator.SimulationError) as want:
         kernel_oracle.run(circuit)
     assert str(got.value) == str(want.value) == "duplicate probe label 'twice'"
-    # raised as the segment was gathered, before any half was played
+    # raised as the runs were gathered, before any piece was played
     assert played[0] == 0
 
 
@@ -191,11 +194,15 @@ def test_a_returned_run_leaves_no_thread(split_at, monkeypatch):
     assert len(made) == 1
 
 
-@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("side", ["caller", "helper"])
 def test_a_raising_step_leaves_no_thread(side, split_at, monkeypatch):
     split_at(14)
     real = simulator.kernel
-    helper_side = side == "upper"
+    real_play = simulator._play
+    helper_side = side == "helper"
+
+    def named() -> bool:
+        return (threading.current_thread() is not threading.main_thread()) == helper_side
 
     def failing(kind, params, qubits, num_qubits, block=None):
         step = real(kind, params, qubits, num_qubits, block)
@@ -203,22 +210,51 @@ def test_a_raising_step_leaves_no_thread(side, split_at, monkeypatch):
             return step
 
         def raising(state):
-            # a half kernel's step, on the half this thread plays
-            if (threading.current_thread() is not threading.main_thread()) == helper_side:
-                raise RuntimeError(f"step failed on the {side} half")
+            # a piece kernel's step, in the thread named by side
+            if named():
+                raise RuntimeError(f"step failed in the {side} thread")
             step(state)
         return raising
 
+    def holding_up(piece, items):
+        # the other thread waits before each task, so the named one takes
+        # tasks with a cx step whichever thread is quicker to start
+        if not named():
+            time.sleep(0.005)
+        return real_play(piece, items)
+
     monkeypatch.setattr(simulator, "kernel", failing)
+    monkeypatch.setattr(simulator, "_play", holding_up)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=side):
         simulator.run(_split_circuit(np.random.default_rng(6), 14, 60, False))
     assert threading.active_count() == before
 
 
+def test_a_held_up_thread_leaves_its_pieces_to_the_other(split_at, monkeypatch):
+    # the helper sleeps before each piece it takes: the calling thread plays
+    # the upper half's pieces too, and the bytes stay those of one thread
+    split_at(14)
+    real = simulator._play
+    by_thread = {"caller": 0, "helper": 0}
+
+    def held_up(piece, items):
+        if threading.current_thread() is threading.main_thread():
+            by_thread["caller"] += 1
+        else:
+            by_thread["helper"] += 1
+            time.sleep(0.005)
+        return real(piece, items)
+
+    monkeypatch.setattr(simulator, "_play", held_up)
+    circuit = _split_circuit(np.random.default_rng(8), 14, 60, True)
+    _check(circuit, monkeypatch)
+    assert by_thread["caller"] > 2 * by_thread["helper"] > 0
+
+
 def test_a_time_limit_leaves_no_thread(tmp_path, split_at, monkeypatch, capsys):
-    # the alarm goes off inside the split: the helper finishes its half of
-    # one segment, and the circuit is skipped
+    # the alarm goes off inside the split: the helper finishes the one run
+    # it holds on one piece, and the circuit is skipped
     played = split_at(16)
     n = 16
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
@@ -263,7 +299,7 @@ def test_split_run_holds_one_state(n, raw, split_at):
     # as test_wide_run_holds_one_state, split: both threads' tiles and reads
     # and numpy's own buffers take no more than one thread's did.  A raw
     # circuit keeps ecr, whose tensor step stages 4-row operands; past 16
-    # qubits its half tiles are larger than _BLOCK
+    # qubits its piece tiles are larger than _BLOCK
     played = split_at(n)
     rng = np.random.default_rng(61)
     probed = (_ecr_circuit(rng, n, 40) if raw else
