@@ -8,8 +8,8 @@ Command-line entry point.
 Global flags (also settable via QCOVER_* environment variables), given
 before or after the subcommand: --seed, --epsilon, --qubit-limit, --jobs,
 --quiet, --time-limit.  Exit codes:
-0 success, 1 any per-file failure, engine-error verdict or unwritable
-output path (--json, --csv), 2 usage error.
+0 success, 1 any per-file failure, engine-error verdict, unwritable
+output path (--json, --csv) or stdout closed early, 2 usage error.
 All randomness is seeded (default 0) and a mutant times out by its gate
 count, not by a clock, so identical inputs and flags give identical
 outputs.  `cover` and `mutate` share one batch loop: each input file is one
@@ -216,11 +216,16 @@ def _run_batch(paths: list[Path], args, worker, show) -> int:
 
     if args.jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-            # a shown future is dropped, and its result with it
-            pending = deque(pool.submit(_limited, worker, path, args)
-                            for path in paths)
-            for path in paths:
-                settle(path, pending.popleft().result)
+            try:
+                # a shown future is dropped, and its result with it
+                pending = deque(pool.submit(_limited, worker, path, args)
+                                for path in paths)
+                for path in paths:
+                    settle(path, pending.popleft().result)
+            except BaseException:
+                # a raise in show (a closed stdout, Ctrl-C) runs no queued input
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         for path in paths:
             settle(path, partial(_limited, worker, path, args))
@@ -403,11 +408,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--tolerance must lie in [0, 1)")
     if not getattr(args, "timeout_factor", 1.0) > 0:
         parser.error("--timeout-factor must be positive")
-    if args.command == "cover":
-        return cmd_cover(args)
-    if args.command == "mutate":
-        return cmd_mutate(args)
-    return cmd_instrument(args)
+    command = {"cover": cmd_cover, "mutate": cmd_mutate}.get(args.command, cmd_instrument)
+    try:
+        code = command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): the rest goes to devnull, so
+        # the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

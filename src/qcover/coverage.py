@@ -24,6 +24,9 @@ long before a circuit becomes unusual.  Underflow clamps to 0.
 
 Fully sequential circuits (no controlled gates) report 100 on all nine
 metrics: there is no branch left unexercised.
+
+A report has one JSON writer, CoverageReport.to_json_text(), a fixed
+template; to_json_dict() reads that text back.
 """
 from __future__ import annotations
 
@@ -106,8 +109,9 @@ class CoverageReport:
         return getattr(self, key + name)
 
     def to_json_text(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2, sort_keys=True) from a fixed
-        template; json's C encoder spells all the numbers (NaN too) in one call."""
+        """The `--json` report: the text json.dumps(..., indent=2,
+        sort_keys=True) gives for the report's dict, from a fixed template;
+        json's C encoder spells all the numbers (NaN too) in one call."""
         values = [self.control_qubits, self.controlled_gates, self.condition, self.decision,
                   self.path, self.cx_conditions, self.jain_condition, self.jain_decision,
                   self.jain_path, self.num_qubits]
@@ -132,33 +136,8 @@ class CoverageReport:
         return template % (encode_basestring_ascii(self.circuit), *numbers)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "circuit": self.circuit,
-            "num_qubits": self.num_qubits,
-            "controlled_gates": self.controlled_gates,
-            "cx_conditions": self.cx_conditions,
-            "control_qubits": self.control_qubits,
-            "coverage": {"condition": self.condition, "decision": self.decision,
-                         "path": self.path},
-            "jain": {"condition": self.jain_condition, "decision": self.jain_decision,
-                     "path": self.jain_path},
-            "probabilistic": {"condition": self.prob_condition,
-                              "decision": self.prob_decision,
-                              "path": self.prob_path},
-            "per_gate": [
-                {"origin": g.origin_gate_id, "true": g.true_hit, "false": g.false_hit,
-                 "ptrue": g.ptrue, "pfalse": g.pfalse,
-                 "controls": list(g.controls)}
-                for g in self.per_gate
-            ],
-            "per_cx": [
-                {"origin": c.origin_gate_id, "cx_index": c.cx_index,
-                 "true": c.true_hit, "false": c.false_hit,
-                 "ptrue": c.ptrue, "pfalse": c.pfalse}
-                for c in self.per_cx
-            ],
-        }
+        """The report as a dict: to_json_text() read back."""
+        return json.loads(self.to_json_text())
 
 
 def classify_condition(expectation: float, probs: tuple[float, float],

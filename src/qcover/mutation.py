@@ -141,27 +141,17 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
     for operator in OPERATORS:
         if operator not in operators:
             continue
-        if operator == "qgr":
-            for at, site in enumerate(sites):
-                cls = _CLASS_OF.get(site.kind)
-                if cls is None:
-                    continue
-                for kind in cls:
-                    if kind is site.kind:
-                        continue
-                    add("qgr", site.id, f"{site.kind.value}->{kind.value}",
-                        at, 1, ((kind, site.params, site.qubits),))
-        elif operator == "qgd":
-            for at, site in enumerate(sites):
-                add("qgd", site.id, f"delete {site.kind.value}", at, 1, ())
-        else:  # qgi
-            for at, site in enumerate(sites):
-                cls = _CLASS_OF.get(site.kind)
-                if cls is None:
-                    continue
-                for kind in cls:
-                    add("qgi", site.id, f"insert {kind.value} after {site.kind.value}",
-                        at + 1, 0, ((kind, site.params, site.qubits),))
+        for at, site in enumerate(sites):
+            was = site.kind.value
+            if operator == "qgd":
+                add("qgd", site.id, f"delete {was}", at, 1, ())
+                continue
+            for kind in _CLASS_OF.get(site.kind, ()):
+                insert = ((kind, site.params, site.qubits),)
+                if operator == "qgi":
+                    add("qgi", site.id, f"insert {kind.value} after {was}", at + 1, 0, insert)
+                elif kind is not site.kind:
+                    add("qgr", site.id, f"{was}->{kind.value}", at, 1, insert)
 
     if budget is not None and budget < len(mutants):
         rng = np.random.default_rng(seed)

@@ -5,10 +5,13 @@ Two probes (expectation value and Z-basis probability pair) go on the control
 qubit of every tracked cx, immediately after it, and two more per control
 qubit of every origin gate at the end of that gate's expansion block.  Each
 transpiler.Origin carries their labels; its docstring gives the scheme.
+render() writes gates through qasm.statement(), the serializer's own
+statement writer, with parameters by repr.
 """
 from __future__ import annotations
 
-from .ir import Circuit, GateInstruction, GateKind, Probe
+from .ir import Circuit, Probe
+from .qasm import statement
 from .transpiler import TranspiledCircuit
 
 
@@ -41,22 +44,12 @@ def instrument(t: TranspiledCircuit) -> Circuit:
 
 def strip_probes(circuit: Circuit) -> Circuit:
     """Remove every probe, leaving gate instructions untouched."""
-    kept = tuple(i for i in circuit.instructions if isinstance(i, GateInstruction))
-    return Circuit(circuit.num_qubits, circuit.num_clbits, kept)
+    return Circuit(circuit.num_qubits, circuit.num_clbits, circuit.gates)
 
 
 def render(circuit: Circuit) -> str:
-    """Pretty-print an instrumented circuit, probes as comment lines."""
-    lines = []
-    for instr in circuit.instructions:
-        if isinstance(instr, Probe):
-            lines.append(f"// probe {instr.mode} q[{instr.qubit}] label={instr.label}")
-            continue
-        if instr.kind is GateKind.MEASURE:
-            lines.append(f"measure q[{instr.qubits[0]}] -> c[{instr.clbits[0]}];")
-            continue
-        name = instr.kind.value
-        if instr.params:
-            name += "(" + ",".join(repr(v) for v in instr.params) + ")"
-        lines.append(f"{name} " + ",".join(f"q[{q}]" for q in instr.qubits) + ";")
+    """Pretty-print an instrumented circuit, probes as comment lines and
+    parameters by repr."""
+    lines = [f"// probe {i.mode} q[{i.qubit}] label={i.label}" if isinstance(i, Probe)
+             else statement(i, repr) for i in circuit.instructions]
     return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .ir import Circuit, GateInstruction, GateKind, Instruction, SPECS
@@ -586,6 +587,17 @@ def _format_angle(value: float) -> str:
     return repr(value)
 
 
+def statement(instr: GateInstruction, angle: Callable[[float], str]) -> str:
+    """A gate, barrier or measurement as one OpenQASM statement, each
+    parameter spelled by angle."""
+    if instr.kind is GateKind.MEASURE:
+        return f"measure q[{instr.qubits[0]}] -> c[{instr.clbits[0]}];"
+    name = instr.kind.value
+    if instr.params:
+        name += "(" + ",".join(map(angle, instr.params)) + ")"
+    return f"{name} " + ",".join(f"q[{q}]" for q in instr.qubits) + ";"
+
+
 def serialize(circuit: Circuit) -> str:
     """Emit OpenQASM 2.0 that parses back to an identical circuit.
 
@@ -599,17 +611,5 @@ def serialize(circuit: Circuit) -> str:
         lines.append(f"qreg q[{circuit.num_qubits}];")
     if circuit.num_clbits:
         lines.append(f"creg c[{circuit.num_clbits}];")
-    for instr in circuit.instructions:
-        if instr.kind is GateKind.MEASURE:
-            lines.append(f"measure q[{instr.qubits[0]}] -> c[{instr.clbits[0]}];")
-            continue
-        if instr.kind is GateKind.BARRIER:
-            operands = ",".join(f"q[{q}]" for q in instr.qubits)
-            lines.append(f"barrier {operands};")
-            continue
-        name = instr.kind.value
-        if instr.params:
-            name += "(" + ",".join(_format_angle(v) for v in instr.params) + ")"
-        operands = ",".join(f"q[{q}]" for q in instr.qubits)
-        lines.append(f"{name} {operands};")
+    lines += [statement(instr, _format_angle) for instr in circuit.instructions]
     return "\n".join(lines) + "\n"

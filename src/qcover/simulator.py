@@ -7,12 +7,11 @@ works out the matrix or scalar factors, the view shapes, the sector indices,
 the axis orders and the tiles once and returns a step that applies the gate
 in place (barrier and id share one that does nothing; measure has none).
 gate_ops() is a circuit's gate list, the kernel() arguments of every
-instruction but measurements and barriers; the mutation judge reads it once
-per circuit, and statevector_of() calls it for its probe and width checks
-only.  run() and statevector_of() play a circuit's instructions through one
-loop, _Live.play; they build one step per distinct gate of a circuit and
-reuse it while the state is too small for tiles.  Steps apply gates
-through stride-based views:
+instruction but measurements and barriers; only the mutation judge reads
+it, once per circuit.  run() and statevector_of() play a circuit's
+instructions through one loop, _Live.play; they build one step per
+distinct gate of a circuit and reuse it while the state is too small for
+tiles.  Steps apply gates through stride-based views:
 
 - the monomial kinds, whose matrix has one nonzero entry per row, each in
   {1, -1, 1j, -1j} (x, y, z, swap, cx, cy, cz, ccx, ccz, cswap, dcx, rccx
@@ -706,8 +705,7 @@ class _Live:
 
     def expanded(self) -> np.ndarray:
         """The full-layout state, in the run's buffer."""
-        while self.zero:
-            self._expand(min(self.zero))
+        self._widen(self.n)
         return self.state
 
     def play(self, instructions: Iterable[Instruction],
@@ -997,7 +995,7 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
 
 def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
     """kernel() arguments of every instruction except measurements and
-    barriers, in order (statevector_of calls it for its checks only).
+    barriers, in order: the gate list the mutation judge replays.
 
     Raises SimulationError for a circuit with probes, then for one wider
     than qubit_limit.
@@ -1005,7 +1003,7 @@ def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
     ops: list[Op] = []
     for instr in circuit.instructions:
         if isinstance(instr, Probe):
-            raise SimulationError("statevector_of expects a probe-free circuit")
+            raise SimulationError("gate_ops expects a probe-free circuit")
         if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER):
             ops.append((instr.kind, instr.params, instr.qubits))
     _check_width(circuit.num_qubits, qubit_limit)
@@ -1019,8 +1017,10 @@ def statevector_of(circuit: Circuit, *,
     Measurements are skipped (the state is taken before any collapse);
     probes are not allowed.
     """
-    gate_ops(circuit, qubit_limit)  # its checks
+    if circuit.has_probes():
+        raise SimulationError("statevector_of expects a probe-free circuit")
     n = circuit.num_qubits
+    _check_width(n, qubit_limit)
     live = _Live(zero_state(n), n, True)
     live.play(circuit.instructions, None)
     return live.expanded()

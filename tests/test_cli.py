@@ -1,4 +1,5 @@
 """Command-line interface: commands, flags, exit codes, file outputs."""
+import argparse
 import gc
 import json
 import os
@@ -135,6 +136,42 @@ def test_jobs_pool_is_capped_at_the_inputs(monkeypatch, capsys):
     assert sizes == [2]
     assert main(["cover", *inputs]) == 0
     assert capsys.readouterr().out == pooled
+
+
+@pytest.mark.parametrize("command, copies, jobs", [("cover", 4, "1"), ("mutate", 2, "2")])
+def test_a_closed_stdout_ends_the_batch_quietly(command, copies, jobs):
+    # `qcover cover corpus/ | head -n 1`; mutate's output over two copies of
+    # the corpus is larger than a pipe holds, so it must write after the close
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcover.cli", command, *[str(CORPUS)] * copies,
+         "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.readline().startswith(b"bell_pair.qasm: ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
+def _mark_and_wait(path: Path, args) -> str:
+    (Path(args.marks) / path.name).touch()
+    time.sleep(0.05)
+    return path.name
+
+
+def test_a_raise_in_show_runs_no_queued_input(tmp_path):
+    # without the cancel, leaving the pool would run all 40 inputs first
+    args = argparse.Namespace(jobs=2, time_limit=None, marks=str(tmp_path))
+
+    def show(path, result):
+        raise BrokenPipeError
+
+    with pytest.raises(BrokenPipeError):
+        cli._run_batch([Path(str(i)) for i in range(40)], args, _mark_and_wait, show)
+    assert len(list(tmp_path.iterdir())) < 12
 
 
 def test_mutate_swap_test_qgd(capsys):

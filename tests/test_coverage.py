@@ -24,6 +24,7 @@ from qcover.ir import GateKind
 from qcover.qasm import parse, parse_file
 from qcover.simulator import run
 from qcover.transpiler import transpile
+from report_oracle import report_dict
 
 EPS = 1e-9
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -316,16 +317,32 @@ def test_balanced_control_superposition_gives_full_jain():
 # -- the --json writer ---------------------------------------------------------
 
 def _json_dumps(report) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    return json.dumps(report_dict(report), indent=2, sort_keys=True)
 
 
-def test_json_text_matches_json_dumps_on_corpus_and_random_circuits():
+def _corpus_and_random_reports() -> list[CoverageReport]:
     reports = [_report_for(parse_file(str(path)), path.name)
                for path in sorted(CORPUS.glob("*.qasm"))]
     rng = np.random.default_rng(19)
     reports += [_report_for(random_circuit(rng), f"r{i}.qasm") for i in range(200)]
     assert sum(bool(r.per_cx) for r in reports) > 150
-    for report in reports:
+    return reports
+
+
+def _odd_report() -> CoverageReport:
+    """Every float spelling json has: NaN, both infinities, -0.0, subnormals."""
+    inf, nan = math.inf, math.nan
+    return CoverageReport(
+        "odd.qasm", 2, 2, 2, 3, nan, inf, -inf, 0.0, -0.0, 1e-320, 1e300,
+        100.0, 5e-324,
+        per_gate=(DecisionOutcome(0, 1, 1, nan, inf, (-inf, nan, 0.5)),
+                  DecisionOutcome(4, 0, 1, 0.0, 1.0, ())),
+        per_cx=(ConditionOutcome(0, 1, 1, 0, -inf, nan),
+                ConditionOutcome(4, 1, 0, 1, 1 / 3, 2 / 3)))
+
+
+def test_json_text_matches_json_dumps_on_corpus_and_random_circuits():
+    for report in _corpus_and_random_reports():
         assert report.to_json_text() == _json_dumps(report), report.circuit
 
 
@@ -345,15 +362,16 @@ def test_json_text_escapes_the_circuit_name():
 
 
 def test_json_text_spells_nan_and_infinities_as_json_does():
-    inf, nan = math.inf, math.nan
-    report = CoverageReport(
-        "odd.qasm", 2, 2, 2, 3, nan, inf, -inf, 0.0, -0.0, 1e-320, 1e300,
-        100.0, 5e-324,
-        per_gate=(DecisionOutcome(0, 1, 1, nan, inf, (-inf, nan, 0.5)),
-                  DecisionOutcome(4, 0, 1, 0.0, 1.0, ())),
-        per_cx=(ConditionOutcome(0, 1, 1, 0, -inf, nan),
-                ConditionOutcome(4, 1, 0, 1, 1 / 3, 2 / 3)))
+    report = _odd_report()
     text = report.to_json_text()
     assert text == _json_dumps(report)
     for word in ("NaN", "Infinity", "-Infinity", '"controls": []'):
         assert word in text
+
+
+def test_json_dict_is_the_oracles_dict():
+    """to_json_dict() reads the template back; compared as json.dumps
+    bytes, since NaN != NaN."""
+    for report in _corpus_and_random_reports() + [_odd_report()]:
+        assert (json.dumps(report.to_json_dict(), sort_keys=True)
+                == json.dumps(report_dict(report), sort_keys=True)), report.circuit

@@ -1,4 +1,6 @@
 """Mutant generation, judging, scoring, and campaign determinism."""
+import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from corpus_util import SWAP_TEST_QASM, build, random_circuit
+from corpus_util import SWAP_TEST_QASM, build, random_circuit, renumber
 from judge_oracle import judge_full, mutant_circuit
 from qcover import mutation
 from qcover.coverage import analyze
@@ -190,6 +192,40 @@ def test_generation_deterministic_and_budget():
     assert [m.mutant_id for m in capped] == [0, 1, 2]
     details_all = {(m.operator, m.site, m.detail) for m in all_mutants}
     assert all((m.operator, m.site, m.detail) in details_all for m in capped)
+
+
+# sha256 over repr(generate_mutants(...)) for every non-empty operator
+# subset and every (seed, budget) below; change only for a deliberate change
+# of the mutants generated
+MUTANTS_CORPUS_DIGEST = "493b61b26a0e0678f7494d0ee75e30681c945280f4ef9ca460966d382010e0a3"
+MUTANTS_RANDOM_DIGEST = "9371a2219e12cca835ec9c371bee3872fce3043bcbe46b81bbf8aade271d7545"
+
+
+def _mutants_digest(circuits) -> str:
+    subsets = [ops for r in (1, 2, 3) for ops in itertools.combinations(mutation.OPERATORS, r)]
+    h = hashlib.sha256()
+    for circuit in circuits:
+        for operators in subsets:
+            for seed, budget in ((0, None), (3, 7), (11, 0), (5, 40)):
+                h.update(repr(generate_mutants(circuit, operators, seed=seed,
+                                               budget=budget)).encode())
+    return h.hexdigest()
+
+
+def test_generated_mutants_are_frozen():
+    corpus = [parse_file(str(path)) for path in sorted(CORPUS.glob("*.qasm"))]
+    assert _mutants_digest(corpus) == MUTANTS_CORPUS_DIGEST
+    # random circuits, half with measurements, each with a full-width barrier
+    # somewhere, so sites and instruction ids part ways
+    rng = np.random.default_rng(27)
+    suite = []
+    for i in range(40):
+        base = random_circuit(rng, with_measure=bool(i % 2))
+        body = list(base.instructions)
+        body.insert(int(rng.integers(len(body) + 1)),
+                    GateInstruction(0, GateKind.BARRIER, tuple(range(base.num_qubits))))
+        suite.append(Circuit(base.num_qubits, base.num_clbits, renumber(body)))
+    assert _mutants_digest(suite) == MUTANTS_RANDOM_DIGEST
 
 
 def test_judge_self_is_survived():

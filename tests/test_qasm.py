@@ -241,6 +241,31 @@ def test_roundtrip_angle_formatting():
     assert circuits_equal(parse(text), circuit)
 
 
+def test_roundtrip_register_wide_barrier_measurements_and_parameters():
+    circuit = parse("""OPENQASM 2.0;
+include "qelib1.inc";
+qreg a[2];
+qreg b[1];
+creg ca[2];
+creg cb[1];
+h a[0];
+rz(pi/4) a[1];
+u(0.1,-pi/2,3*pi/8) b[0];
+barrier a;
+cu1(1.25) a[0],b[0];
+barrier a[1],b;
+measure a -> ca;
+measure b[0] -> cb[0];
+""")
+    text = serialize(circuit)
+    for line in ("barrier q[0],q[1];", "barrier q[1],q[2];", "rz(pi/4) q[1];",
+                 "u(0.1,-pi/2,3*pi/8) q[2];", "cu1(1.25) q[0],q[2];",
+                 "measure q[1] -> c[1];", "measure q[2] -> c[2];"):
+        assert line in text.splitlines()
+    assert parse(text) == circuit
+    assert serialize(parse(text)) == text
+
+
 def test_roundtrip_random_circuits():
     rng = np.random.default_rng(7)
     for _ in range(25):
