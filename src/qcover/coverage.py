@@ -34,11 +34,15 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .simulator import ProbeLog
 from .transpiler import TranspiledCircuit
 
 DEFAULT_EPSILON = 1e-9
+
+# p0 and p1 of a probabilities probe value
+_P0, _P1 = itemgetter(0), itemgetter(1)
 
 
 class AnalysisError(Exception):
@@ -142,21 +146,15 @@ class CoverageReport:
 
 def classify_condition(expectation: float, probs: tuple[float, float],
                        epsilon: float = DEFAULT_EPSILON) -> tuple[int, int, float, float]:
-    """Hit pattern and branch probabilities for one cx condition.
+    """Hit pattern and branch probabilities for one cx condition: the
+    decision of its one control.
 
     Returns (true_hit, false_hit, ptrue, pfalse).  ptrue is the probability
-    of the control being |1> (the branch that triggers the gate).
+    of the control being |1> (the branch that triggers the gate), the p1 of
+    probs as given; pfalse is its p0.
     """
-    if not -1.0 - epsilon <= expectation <= 1.0 + epsilon:
-        raise AnalysisError(f"expectation {expectation} outside [-1, 1]")
-    p0, p1 = probs
-    if expectation <= -1.0 + epsilon:
-        hits = (1, 0)
-    elif expectation >= 1.0 - epsilon:
-        hits = (0, 1)
-    else:
-        hits = (1, 1)
-    return hits[0], hits[1], p1, p0
+    true_hit, false_hit, _, _ = classify_decision([expectation], [probs], epsilon)
+    return true_hit, false_hit, probs[1], probs[0]
 
 
 def classify_decision(expectations: list[float],
@@ -172,15 +170,16 @@ def classify_decision(expectations: list[float],
     for e in expectations:
         if not -1.0 - epsilon <= e <= 1.0 + epsilon:
             raise AnalysisError(f"expectation {e} outside [-1, 1]")
-    if all(e <= -1.0 + epsilon for e in expectations):
+    # no NaN is left, so the largest expectation decides both tests: all
+    # certainly |1> (e <= -1 + epsilon) and any certainly |0>
+    top = max(expectations)
+    if top <= -1.0 + epsilon:
         hits = (1, 0)
-    elif any(e >= 1.0 - epsilon for e in expectations):
+    elif top >= 1.0 - epsilon:
         hits = (0, 1)
     else:
         hits = (1, 1)
-    ptrue = sum(p1 for _, p1 in probs)
-    pfalse = sum(p0 for p0, _ in probs)
-    return hits[0], hits[1], ptrue, pfalse
+    return hits[0], hits[1], sum(map(_P1, probs)), sum(map(_P0, probs))
 
 
 def _lookup(log: ProbeLog, label: str):

@@ -65,7 +65,8 @@ unchanged kernel() step runs on the block with renumbered operands and
 makes, on each live amplitude, the numpy or BLAS call its full-width
 kernel makes.  A probe read or a measurement with some qubit in |0>
 squares the live amplitudes into their places in a zeroed buffer of the
-full layout, which sums the way marginal() sums, so probe values,
+full layout, which sums the way marginal() sums (_held, which marginal()
+itself calls on a wide state, with no qubit held), so probe values,
 measurements and final states are those of the full-width loop.  Only the
 sign of an exact zero may differ from it: amplitudes no live qubit reaches
 are never computed, so their +0 or -0 is not tracked.  A smaller state
@@ -73,15 +74,18 @@ keeps every qubit live from the start: on states that small the
 bookkeeping costs more than it saves.
 
 Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more that
-may use two CPUs or more plays the rest split on its top qubits
-(_Live._split).  A gate off the top L qubits acts on the 2^L pieces of the
-state in which they are fixed apart, so its kernel() step for n - L qubits
-runs on each piece; L is 2 (_LEVELS) for a gate below qubit n - 2 and 1
-for one on it.  The calling thread and one helper thread take the pieces'
-tasks as they become ready, each its own half first (_Segment), so a
-thread slowed by another process on its CPU hands its remaining pieces to
-the other thread rather than stalling it until both are done.  A gate on
-the top qubit or a measurement runs on the whole state as before.  Every
+may use two CPUs or more plays the rest split on its top qubits, in the
+loop every run takes (_Live.play): probe reads and gates off the top
+qubits gather into runs played on pieces of the state, and barrier, id and
+skipped measurements leave them gathering.  A gate off the top L qubits
+acts on the 2^L pieces of the state in which they are fixed apart, so its
+kernel() step for n - L qubits runs on each piece; L is 2 (_LEVELS) for a
+gate below qubit n - 2 and 1 for one on it.  The calling thread and one
+helper thread take the pieces' tasks as they become ready, each its own
+half first (_Segment), so a thread slowed by another process on its CPU
+hands its remaining pieces to the other thread rather than stalling it
+until both are done.  A gate on the top qubit or a measurement first has
+the gathered runs played, then runs on the whole state.  Every
 amplitude goes through the numpy calls of the whole-state step (only the
 tiles are larger), so the state is the same bit for bit, whichever thread
 played a piece.  A probe read is marginal() of each piece, and the pieces'
@@ -93,9 +97,10 @@ bit too.  Each thread reads into a buffer at most half the size of the
 whole state's, and the tiles of both threads' kernels take half the
 state's bytes.  A task plays a run of at most _SEGMENT steps and reads on
 one piece, so an exception (a time limit) waits for one such task at most.
-The helper lives only while a split run does, joined before run() returns
-or raises.  Where the process may use one CPU only, nothing splits: the
-halves played in turn took as long as the whole state.
+The helper starts when the first gathered runs are played, so a run that
+never splits makes none, and is joined before run() returns or raises.
+Where the process may use one CPU only, nothing splits: the halves played
+in turn took as long as the whole state.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -110,11 +115,12 @@ repeated sampling adds nothing to coverage.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -148,20 +154,54 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 def marginal(state: np.ndarray, qubit: int) -> tuple[float, float]:
     """Z-basis probabilities (p0, p1) of one qubit."""
-    view = state.reshape(-1, 2, 1 << qubit)
     if state.size <= 2 * _BLOCK:
         # both halves in one abs and one square, into a (2, high, low) buffer
-        # in C order: each half sums as one contiguous row, as below
-        halves = view.transpose(1, 0, 2)
+        # in C order: each half sums as one contiguous row, as _held does
+        halves = state.reshape(-1, 2, 1 << qubit).transpose(1, 0, 2)
         buf = np.abs(halves, out=np.empty(halves.shape))
         np.square(buf, out=buf)
         return tuple(np.add.reduce(buf.reshape(2, -1), axis=1).tolist())
-    # a larger state one half at a time, in half the scratch
-    buf = np.empty(view[:, 0, :].shape)
+    return _held(state, state.size.bit_length() - 1, qubit, set())
+
+
+def _held(block: np.ndarray, n: int, qubit: int, zero: set[int]) -> tuple[float, float]:
+    """(p0, p1) of one qubit of an n-qubit state whose qubits in zero are
+    held in |0> and whose other qubits' amplitudes fill block, little-endian
+    in them.  One half at a time, |a|^2 of the block's amplitudes goes into
+    their places in a buffer of the half-state shape (zeroed where no
+    amplitude lands), which then sums as one contiguous row: the bits do not
+    depend on which qubits are held."""
+    # views with an axis per qubit in zero and one for qubit, and one per
+    # run of other qubits between them: the half-state buffer has none for
+    # qubit, the block none for a qubit in zero
+    half_shape, half_index, block_shape, axis = [], [], [], None
+    above = n
+    for q in sorted(zero | {qubit}, reverse=True):
+        gap = 1 << (above - q - 1)
+        half_shape.append(gap)
+        half_index.append(slice(None))
+        block_shape.append(gap)
+        if q != qubit:
+            half_shape.append(2)
+            half_index.append(0)
+        elif q not in zero:
+            axis = len(block_shape)
+            block_shape.append(2)
+        above = q
+    half_shape.append(1 << above)
+    half_index.append(slice(None))
+    block_shape.append(1 << above)
+    buf = (np.zeros if zero else np.empty)((1 << (n - 1 - qubit), 1 << qubit))
+    dst = buf.reshape(half_shape)[tuple(half_index)]
+    block = block.reshape(block_shape)
+    if axis is None:
+        np.abs(block, out=dst)
+        np.square(dst, out=dst)
+        return float(buf.sum()), 0.0
     probs = []
-    for half in (view[:, 0, :], view[:, 1, :]):
-        np.abs(half, out=buf)
-        np.square(buf, out=buf)
+    for value in (0, 1):
+        np.abs(block[(slice(None),) * axis + (value,)], out=dst)
+        np.square(dst, out=dst)
         probs.append(float(buf.sum()))
     return probs[0], probs[1]
 
@@ -596,10 +636,9 @@ class _Live:
 
     def apply(self, kind: GateKind, params: tuple[float, ...],
               qubits: tuple[int, ...]) -> None:
-        """Apply one gate: kernel() on the block, with its operands made
-        live and renumbered, unless _keeps_zero applies it."""
-        if kind in _NO_OP:
-            return
+        """Apply one gate other than barrier and id: kernel() on the block,
+        with its operands made live and renumbered, unless _keeps_zero
+        applies it."""
         steps = self.steps
         if steps is not None:
             key = (kind, repr(params) if 0.0 in params else params, qubits)
@@ -647,45 +686,10 @@ class _Live:
         return False
 
     def marginal(self, qubit: int) -> tuple[float, float]:
-        """marginal() of the full-layout state, bit for bit: |a|^2 of the
-        live amplitudes goes straight into their places in a zeroed buffer
-        of marginal's half-state shape, which then sums the same way."""
-        zero = self.zero
-        if not zero:
+        """marginal() of the full-layout state, bit for bit."""
+        if not self.zero:
             return marginal(self.state, qubit)
-        # views with an axis per qubit in zero and one for qubit, and one per
-        # run of live qubits between them: the half-state buffer has none
-        # for qubit, the block none for a qubit in zero
-        half_shape, half_index, block_shape, axis = [], [], [], None
-        above = self.n
-        for q in sorted(zero | {qubit}, reverse=True):
-            gap = 1 << (above - q - 1)
-            half_shape.append(gap)
-            half_index.append(slice(None))
-            block_shape.append(gap)
-            if q != qubit:
-                half_shape.append(2)
-                half_index.append(0)
-            elif q not in zero:
-                axis = len(block_shape)
-                block_shape.append(2)
-            above = q
-        half_shape.append(1 << above)
-        half_index.append(slice(None))
-        block_shape.append(1 << above)
-        buf = np.zeros((1 << (self.n - 1 - qubit), 1 << qubit))
-        dst = buf.reshape(half_shape)[tuple(half_index)]
-        block = self._block().reshape(block_shape)
-        if axis is None:
-            np.abs(block, out=dst)
-            np.square(dst, out=dst)
-            return float(buf.sum()), 0.0
-        probs = []
-        for value in (0, 1):
-            np.abs(block[(slice(None),) * axis + (value,)], out=dst)
-            np.square(dst, out=dst)
-            probs.append(float(buf.sum()))
-        return probs[0], probs[1]
+        return _held(self._block(), self.n, qubit, self.zero)
 
     def measure(self, qubit: int, rng: np.random.Generator) -> int:
         """Measure a qubit: draw the outcome from the seeded generator by
@@ -711,59 +715,37 @@ class _Live:
     def play(self, instructions: Iterable[Instruction],
              rng: np.random.Generator | None) -> tuple[ProbeLog, dict[int, int]]:
         """Run instructions in order; returns the probe log and the
-        measurements (skipped when rng is None).  Once a run of _SPLIT_MIN
-        qubits or more holds no qubit in zero, the rest runs split on its
-        top qubits (_split)."""
-        log: ProbeLog = {}
-        measurements: dict[int, int] = {}
-        # marginals read since the last non-probe instruction, by qubit
-        reads: dict[int, tuple[float, float]] = {}
-        splits = self.n >= _SPLIT_MIN and _cpus() > 1
-        todo = iter(instructions)
-        for instr in todo:
-            if splits and not self.zero:
-                self._split(itertools.chain((instr,), todo), log, measurements, rng)
-                break
-            if isinstance(instr, Probe):
-                _check_label(log, instr)
-                if instr.qubit not in reads:
-                    reads[instr.qubit] = self.marginal(instr.qubit)
-                _record(log, instr, reads[instr.qubit])
-                continue
-            reads.clear()
-            if instr.kind is not GateKind.MEASURE:
-                self.apply(instr.kind, instr.params, instr.qubits)
-            elif rng is not None:
-                measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
-        return log, measurements
+        measurements (skipped when rng is None).
 
-    def _split(self, todo: Iterator[Instruction], log: ProbeLog,
-               measurements: dict[int, int],
-               rng: np.random.Generator | None) -> None:
-        """play() on a state with no qubit in zero, split on its top qubits.
-
-        Gates and probe reads gather into runs of at most _SEGMENT steps and
-        reads, each run on the pieces of one level: at level L, the 2^L
-        pieces of 2^(n - L) amplitudes in which the top L qubits are fixed,
-        with kernel() steps for n - L qubits.  A gate takes the highest level
-        up to _LEVELS that leaves its qubits inside a piece; a read joins
-        the run before it.  A gate on the top qubit or a measurement first
-        has the gathered runs played (_Segment), then runs on the whole
-        state.
+        Once a run of _SPLIT_MIN qubits or more that may use two CPUs holds
+        no qubit in zero, it is split: gates and probe reads gather into
+        runs of at most _SEGMENT steps and reads, each run on the pieces of
+        one level.  At level L the 2^L pieces of 2^(n - L) amplitudes are
+        those in which the top L qubits are fixed, with kernel() steps for
+        n - L qubits.  A gate takes the highest level up to _LEVELS that
+        leaves its qubits inside a piece; a read joins the run before it.
+        Barrier, id and skipped measurements leave the runs gathering.  A
+        gate on the top qubit or a measurement first has the gathered runs
+        played (_Segment), then runs on the whole state, as every gate and
+        measurement of a run that is not split does.
         """
         n = self.n
+        log: ProbeLog = {}
+        measurements: dict[int, int] = {}
+        splits = n >= _SPLIT_MIN and _cpus() > 1
         # fewer, larger tiles than _BLOCK take fewer numpy calls, each of
         # which takes the GIL; the four dense 2x2 tiles of both threads (1/16
         # of the state each, as much as a tensor step stages) then take half
         # the state's bytes, which keeps a split run under 1.6 states
-        # (tests/test_split.py)
-        block = max(_BLOCK, 1 << (n - 4))
+        # (tests/test_split.py).  Only where it splits: n may be under 4
+        block = max(_BLOCK, 1 << (n - 4)) if splits else _BLOCK
         # (level, kernel() steps and marginal() reads for n - level qubits)
         runs: list[tuple[int, list[Callable]]] = []
-        # the probes, each with the run and the index of its read
+        # the probes gathered, each with the run and the index of its read
         probes: list[tuple[Probe, int, int]] = []
-        # reads since the last non-probe instruction, by qubit read
-        reads: dict[int, tuple[int, int]] = {}
+        # reads since the last non-probe instruction, by qubit read: the
+        # marginal, or once split the run and the index of the read
+        reads: dict[int, tuple] = {}
 
         def add(level: int, item: Callable) -> tuple[int, int]:
             if not runs or runs[-1][0] != level or len(runs[-1][1]) >= _SEGMENT:
@@ -771,20 +753,30 @@ class _Live:
             runs[-1][1].append(item)
             return len(runs) - 1, len(runs[-1][1]) - 1
 
-        with ThreadPoolExecutor(1) as helper:
+        # the helper thread starts with the first runs played, and is
+        # joined before play() returns or raises
+        with contextlib.ExitStack() as stack:
+            helper = None
+
             def flush() -> None:
-                if runs:
-                    played = _Segment(self.state, runs).play(helper)
-                    for probe, r, i in probes:
-                        _record(log, probe, _combine(probe.qubit, n - runs[r][0],
-                                                     [got[i] for got in played[r]]))
+                nonlocal helper
+                helper = helper or stack.enter_context(ThreadPoolExecutor(1))
+                played = _Segment(self.state, runs).play(helper)
+                for probe, r, i in probes:
+                    _record(log, probe, _combine(probe.qubit, n - runs[r][0],
+                                                 [got[i] for got in played[r]]))
                 runs.clear()
                 probes.clear()
-                reads.clear()
 
-            for instr in todo:
+            for instr in instructions:
+                split = splits and not self.zero
                 if isinstance(instr, Probe):
                     _check_label(log, instr)
+                    if not split:
+                        if instr.qubit not in reads:
+                            reads[instr.qubit] = self.marginal(instr.qubit)
+                        _record(log, instr, reads[instr.qubit])
+                        continue
                     level = runs[-1][0] if runs else _LEVELS
                     # a piece's top qubit reads every qubit above it too
                     qubit = min(instr.qubit, n - level - 1)
@@ -795,20 +787,26 @@ class _Live:
                     continue
                 reads.clear()
                 kind = instr.kind
-                if kind in _NO_OP or (kind is GateKind.MEASURE and rng is None):
+                # looked up once: an enum member takes about 0.1 us (Python 3.11)
+                measure = kind is GateKind.MEASURE
+                if kind in _NO_OP or (measure and rng is None):
                     continue
-                level = 0 if kind is GateKind.MEASURE else min(_LEVELS, n - 1 - max(instr.qubits))
-                if level:
-                    add(level, kernel(kind, instr.params, instr.qubits, n - level, block))
-                    if sum(len(items) for _, items in runs) >= _GATHER:
-                        flush()
-                    continue
-                flush()
-                if kind is GateKind.MEASURE:
+                if split and not measure:
+                    level = min(_LEVELS, n - 1 - max(instr.qubits))
+                    if level:
+                        add(level, kernel(kind, instr.params, instr.qubits, n - level, block))
+                        if sum(len(items) for _, items in runs) >= _GATHER:
+                            flush()
+                        continue
+                if runs:
+                    flush()
+                if measure:
                     measurements[instr.clbits[0]] = self.measure(instr.qubits[0], rng)
                 else:
                     self.apply(kind, instr.params, instr.qubits)
-            flush()
+            if runs:
+                flush()
+        return log, measurements
 
 
 # the fewest qubits a run splits at.  Below 17 a piece's numpy calls are too
@@ -983,14 +981,23 @@ def run(circuit: Circuit, initial: np.ndarray | None = None, *,
     Probes never modify the state; stripping them from the circuit yields a
     bitwise-identical final statevector.
     """
+    state, log, measurements = _simulate(circuit, initial, seed, qubit_limit)
+    _check_norm(state)
+    return RunResult(state, log, measurements)
+
+
+def _simulate(circuit: Circuit, initial: np.ndarray | None, seed: int | None,
+              qubit_limit: int) -> tuple[np.ndarray, ProbeLog, dict[int, int]]:
+    """The final state, the probe log and the measurements of one run from
+    initial (|0...0> when None); measurements are skipped when seed is
+    None."""
     n = circuit.num_qubits
     _check_width(n, qubit_limit)
     state = zero_state(n) if initial is None else _check_initial(initial, n)
     live = _Live(state, n, initial is None)
-    log, measurements = live.play(circuit.instructions, np.random.default_rng(seed))
-    state = live.expanded()
-    _check_norm(state)
-    return RunResult(state, log, measurements)
+    rng = None if seed is None else np.random.default_rng(seed)
+    log, measurements = live.play(circuit.instructions, rng)
+    return live.expanded(), log, measurements
 
 
 def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
@@ -1019,11 +1026,7 @@ def statevector_of(circuit: Circuit, *,
     """
     if circuit.has_probes():
         raise SimulationError("statevector_of expects a probe-free circuit")
-    n = circuit.num_qubits
-    _check_width(n, qubit_limit)
-    live = _Live(zero_state(n), n, True)
-    live.play(circuit.instructions, None)
-    return live.expanded()
+    return _simulate(circuit, None, None, qubit_limit)[0]
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -225,6 +225,23 @@ def test_gates_that_keep_zero_build_no_step(monkeypatch):
     assert np.array_equal(live.expanded(), want)
 
 
+def test_wide_reads_equal_marginal_of_the_full_layout(monkeypatch):
+    # _Live.marginal and marginal() read a wide state through one function:
+    # with qubits held in |0> and with none, a read is marginal() of the
+    # full layout, by repr, at every qubit
+    monkeypatch.setattr(simulator, "_BLOCK", 8)
+    n = 9
+    rng = np.random.default_rng(29)
+    live = simulator._Live(simulator.zero_state(n), n, True)
+    for width in (6, n):
+        for instr in _uniform_circuit(rng, width, 30).instructions:
+            live.apply(instr.kind, instr.params, instr.qubits)
+        assert bool(live.zero) == (width < n)
+        got = [live.marginal(q) for q in range(n)]
+        full = live.expanded().copy()
+        assert repr(got) == repr([simulator.marginal(full, q) for q in range(n)])
+
+
 def _peak(call) -> int:
     tracemalloc.start()
     try:

@@ -1,13 +1,16 @@
-"""Wide runs split on their top qubits (simulator._Live._split).
+"""Wide runs split on their top qubits, in the loop every run takes
+(simulator._Live.play).
 
 Once no qubit is held in |0>, a run of at least _SPLIT_MIN qubits plays its
 gates off the top qubit and its probe reads on pieces of the state, which
 the calling thread and a helper thread take as they become ready.  Against
 kernel_oracle's full-width loop it must give the same probe logs (by repr),
 the same measurements and equal states; against the same run unsplit, the
-same bytes, however the pieces fall to the threads.  The helper thread must
-be gone when run() returns or raises.  A process that may use one CPU only
-does not split.
+same bytes, however the pieces fall to the threads.  Barrier, id and the
+measurements statevector_of() skips must not end the runs gathered.  The
+helper thread must be gone when run() returns or raises.  A process that
+may use one CPU only does not split, nor does a run that holds a qubit in
+|0> to its end, which starts no helper.
 """
 import os
 import threading
@@ -167,6 +170,63 @@ def test_reads_end_a_full_segment(split_at, monkeypatch):
                      for mode in ("expectation", "probabilities") for q in range(n)]
     _check(Circuit(n, 0, renumber(instructions)), monkeypatch)
     assert played[0] >= 4
+
+
+def _with_no_ops(circuit: Circuit) -> Circuit:
+    """circuit with a barrier on every qubit and an id after each gate."""
+    instructions = []
+    every = tuple(range(circuit.num_qubits))
+    for instr in circuit.instructions:
+        instructions.append(instr)
+        if isinstance(instr, GateInstruction) and instr.kind is not GateKind.MEASURE:
+            instructions += [GateInstruction(0, GateKind.BARRIER, every),
+                             GateInstruction(0, GateKind.ID, instr.qubits[:1])]
+    return Circuit(circuit.num_qubits, circuit.num_clbits, renumber(instructions))
+
+
+def _bare(circuit: Circuit) -> Circuit:
+    """A probe-free circuit without its measurements."""
+    return Circuit(circuit.num_qubits, circuit.num_clbits, renumber(
+        [i for i in circuit.instructions if i.kind is not GateKind.MEASURE]))
+
+
+def test_no_ops_leave_the_runs_gathering(split_at, monkeypatch):
+    # barrier, id and a measurement statevector_of skips end no segment:
+    # the same pieces played as without them, and the same bytes
+    played = split_at(14)
+    rng = np.random.default_rng(77)
+    for with_measure in (False, True):
+        circuit = _split_circuit(rng, 14, 60, with_measure)
+        for plain, padded, play in [
+                (circuit, _with_no_ops(circuit), lambda c: simulator.run(c, seed=4)),
+                (_bare(strip_probes(circuit)), strip_probes(_with_no_ops(circuit)),
+                 lambda c: simulator.RunResult(simulator.statevector_of(c), {}))]:
+            played[0] = 0
+            want = play(plain)
+            pieces = played[0]
+            played[0] = 0
+            got = play(padded)
+            assert played[0] == pieces > 0
+            assert repr(got.probes) == repr(want.probes)
+            assert got.measurements == want.measurements
+            assert got.state.tobytes() == want.state.tobytes()
+
+
+def test_a_qubit_held_in_zero_keeps_the_run_whole(split_at, monkeypatch):
+    # qubit n - 1 stays in |0> throughout, read by probes: the run never
+    # splits, so it makes no pool and plays no piece, and its bytes are the
+    # unsplit run's
+    n = 14
+    played = split_at(n)
+    made = _count_pools(monkeypatch)
+    narrow = _split_circuit(np.random.default_rng(143), n - 1, 60, True).instructions
+    held = [Probe(0, mode, n - 1, f"held {mode}") for mode in ("expectation", "probabilities")]
+    half = len(narrow) // 2
+    circuit = Circuit(n, n - 1, renumber(narrow[:half] + (held[0],) + narrow[half:] + (held[1],)))
+    _check(circuit, monkeypatch)
+    _check(_bare(strip_probes(circuit)), monkeypatch)
+    assert made == []
+    assert played[0] == 0
 
 
 def test_duplicate_label_in_a_segment(split_at, monkeypatch):
