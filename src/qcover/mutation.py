@@ -68,8 +68,8 @@ import numpy as np
 
 from .coverage import CoverageReport
 from .ir import Circuit, GateKind
-from .simulator import (DEFAULT_QUBIT_LIMIT, Op, fidelity, gate_ops, kernel,
-                        zero_state)
+from .simulator import (DEFAULT_QUBIT_LIMIT, NOT_GATE_OPS, Op, fidelity,
+                        gate_ops, kernel, zero_state)
 
 OPERATORS = ("qgr", "qgd", "qgi")
 DEFAULT_TOLERANCE = 1e-8
@@ -130,8 +130,7 @@ def generate_mutants(circuit: Circuit, operators: tuple[str, ...] = OPERATORS,
             raise MutationError(f"unknown mutation operator {op!r}")
 
     # the gate list gate_ops gives; without probes every instruction is a gate
-    sites = [instr for instr in circuit.instructions
-             if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
+    sites = [instr for instr in circuit.instructions if instr.kind not in NOT_GATE_OPS]
     mutants: list[Mutant] = []
 
     def add(operator: str, site: int, detail: str, at: int, drop: int,

@@ -73,8 +73,8 @@ are never computed, so their +0 or -0 is not tracked.  A smaller state
 keeps every qubit live from the start: on states that small the
 bookkeeping costs more than it saves.
 
-Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more that
-may use two CPUs or more plays the rest split on its top qubits, in the
+Once no qubit is held in |0>, a run of _SPLIT_MIN (17) qubits or more
+plays the rest split on its top qubits, on any number of CPUs, in the
 loop every run takes (_Live.play): probe reads and gates off the top
 qubits gather into runs played on pieces of the state, and barrier, id and
 skipped measurements leave them gathering.  A gate off the top L qubits
@@ -99,8 +99,8 @@ state's bytes.  A task plays a run of at most _SEGMENT steps and reads on
 one piece, so an exception (a time limit) waits for one such task at most.
 The helper starts when the first gathered runs are played, so a run that
 never splits makes none, and is joined before run() returns or raises.
-Where the process may use one CPU only, nothing splits: the halves played
-in turn took as long as the whole state.
+Which path plays a run depends on the circuit alone, not on the host: on
+one CPU the two threads took as long as the unsplit loop.
 
 Probes read Z-basis marginals without touching the amplitudes; probes with
 no instruction between them share one marginal read per qubit.  Measurement
@@ -118,7 +118,6 @@ import bisect
 import contextlib
 import functools
 import itertools
-import os
 import threading
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -333,6 +332,14 @@ Op = tuple[GateKind, tuple[float, ...], tuple[int, ...]]
 # a tuple, not a set: `in` finds a member by identity, without hashing
 _NO_OP = (GateKind.BARRIER, GateKind.ID)
 
+# the kinds gate_ops() leaves out of a circuit's gate list, which a
+# mutant's position (mutation.Mutant.at) indexes
+NOT_GATE_OPS = (GateKind.MEASURE, GateKind.BARRIER)
+
+# bound once: looking up an enum member takes about 0.1 us (Python 3.11),
+# and kernel() and _Live.play test them for every instruction
+_P, _MEASURE = GateKind.P, GateKind.MEASURE
+
 
 def _no_op(state: np.ndarray) -> None:
     """The step of barrier and id."""
@@ -349,11 +356,11 @@ def kernel(kind: GateKind, params: tuple[float, ...], qubits: tuple[int, ...],
     SimulationError for a measurement.
     """
     block = block or _BLOCK
-    if kind is GateKind.P:
+    if kind is _P:
         return _phase(qubits[0], np.exp(1j * params[0]))
     if kind in _NO_OP:
         return _no_op
-    if kind is GateKind.MEASURE:
+    if kind is _MEASURE:
         raise SimulationError("apply_gate cannot process measurements")
     plans = _MONOMIAL.get(kind)
     if plans is not None:
@@ -717,8 +724,8 @@ class _Live:
         """Run instructions in order; returns the probe log and the
         measurements (skipped when rng is None).
 
-        Once a run of _SPLIT_MIN qubits or more that may use two CPUs holds
-        no qubit in zero, it is split: gates and probe reads gather into
+        Once a run of _SPLIT_MIN qubits or more holds no qubit in zero, on
+        any number of CPUs, it is split: gates and probe reads gather into
         runs of at most _SEGMENT steps and reads, each run on the pieces of
         one level.  At level L the 2^L pieces of 2^(n - L) amplitudes are
         those in which the top L qubits are fixed, with kernel() steps for
@@ -732,7 +739,7 @@ class _Live:
         n = self.n
         log: ProbeLog = {}
         measurements: dict[int, int] = {}
-        splits = n >= _SPLIT_MIN and _cpus() > 1
+        splits = n >= _SPLIT_MIN
         # fewer, larger tiles than _BLOCK take fewer numpy calls, each of
         # which takes the GIL; the four dense 2x2 tiles of both threads (1/16
         # of the state each, as much as a tensor step stages) then take half
@@ -787,8 +794,7 @@ class _Live:
                     continue
                 reads.clear()
                 kind = instr.kind
-                # looked up once: an enum member takes about 0.1 us (Python 3.11)
-                measure = kind is GateKind.MEASURE
+                measure = kind is _MEASURE
                 if kind in _NO_OP or (measure and rng is None):
                     continue
                 if split and not measure:
@@ -813,8 +819,10 @@ class _Live:
 # short to gain on the GIL hand-offs between the threads: on two x86-64 CPUs
 # (2 MiB of L2 each) cover_wide-like runs at 15 and 16 qubits took 1.13 to
 # 1.28 times as long split, at 17 qubits about 0.76 times and at 18 and 19
-# 0.66 to 0.73 times (BENCH_26.json, its run_by_width lines).  The reads
-# need n >= 8 + _LEVELS (_combine).
+# 0.66 to 0.73 times (BENCH_26.json, its run_by_width lines).  Pinned to one
+# CPU, cover_wide's 18-qubit runs took as long split as unsplit, so a run
+# splits whatever CPUs it may use.  The reads need n >= 8 + _LEVELS
+# (_combine).
 _SPLIT_MIN = 17
 
 # the most top qubits a split run fixes: four pieces, so that a thread that
@@ -930,14 +938,6 @@ def _pairwise(sums: list[float]) -> float:
     return sums[0]
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _play(piece: np.ndarray, items: list[Callable]) -> list:
     """Apply a run's steps and reads to one piece, in order: what each
     returned (None for a step)."""
@@ -1011,7 +1011,7 @@ def gate_ops(circuit: Circuit, qubit_limit: int) -> list[Op]:
     for instr in circuit.instructions:
         if isinstance(instr, Probe):
             raise SimulationError("gate_ops expects a probe-free circuit")
-        if instr.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+        if instr.kind not in NOT_GATE_OPS:
             ops.append((instr.kind, instr.params, instr.qubits))
     _check_width(circuit.num_qubits, qubit_limit)
     return ops

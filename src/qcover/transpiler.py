@@ -296,7 +296,7 @@ def transpile(circuit: Circuit) -> TranspiledCircuit:
         if spec.controls:
             gi = ordinals[instr.kind] = ordinals.get(instr.kind, 0) + 1
             name = f"{instr.kind.value}_{gi}"
-            cx = tuple(pos for pos in range(start, len(out)) if out[pos].kind is GateKind.CX)
+            cx = tuple(pos for pos in range(start, len(out)) if out[pos].kind is _CX)
             origins.append(Origin(
                 instr.id, instr.kind, tuple(instr.qubits[i] for i in spec.controls),
                 cx, len(out),

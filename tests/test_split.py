@@ -8,9 +8,10 @@ kernel_oracle's full-width loop it must give the same probe logs (by repr),
 the same measurements and equal states; against the same run unsplit, the
 same bytes, however the pieces fall to the threads.  Barrier, id and the
 measurements statevector_of() skips must not end the runs gathered.  The
-helper thread must be gone when run() returns or raises.  A process that
-may use one CPU only does not split, nor does a run that holds a qubit in
-|0> to its end, which starts no helper.
+helper thread must be gone when run() returns or raises.  A run splits
+however many CPUs the process may use, one included, so its bytes come
+from one schedule on every host; a run that holds a qubit in |0> to its
+end does not split and starts no helper.
 """
 import os
 import threading
@@ -54,14 +55,10 @@ def _split_circuit(rng: np.random.Generator, n: int, count: int,
     return Circuit(n, n if with_measure else 0, renumber(instructions))
 
 
-_cpus = simulator._cpus
-
-
 @pytest.fixture
 def split_at(monkeypatch):
-    """Lower the split threshold to a width, on two CPUs whatever the host
-    allows; returns a list that counts the pieces played.  No run may hold
-    more than _SEGMENT steps and reads."""
+    """Lower the split threshold to a width; returns a list that counts the
+    pieces played.  No run may hold more than _SEGMENT steps and reads."""
     played = [0]
     real = simulator._play
 
@@ -71,7 +68,6 @@ def split_at(monkeypatch):
         return real(piece, items)
 
     monkeypatch.setattr(simulator, "_play", counting)
-    monkeypatch.setattr(simulator, "_cpus", lambda: 2)
 
     def lower(n: int) -> list[int]:
         monkeypatch.setattr(simulator, "_SPLIT_MIN", n)
@@ -139,24 +135,23 @@ def test_split_with_tiny_tiles(split_at, monkeypatch):
     assert played[0] > 0
 
 
-def test_one_cpu_does_not_split(split_at, monkeypatch):
-    # the same bytes as the threaded schedule, and no thread started
+def test_one_allowed_cpu_still_splits(split_at, monkeypatch):
+    # a process allowed one CPU plays the same pieces and gives the same
+    # bytes as one allowed every CPU
     played = split_at(14)
     rng = np.random.default_rng(141)
     circuits = [_split_circuit(rng, 14, 60, bool(i)) for i in range(2)]
-    threaded = [simulator.run(c, seed=2) for c in circuits]
-    assert played[0] > 0
+    wanted = [simulator.run(c, seed=2) for c in circuits]
+    pieces = played[0]
+    assert pieces > 0
     played[0] = 0
-    started = _count_pools(monkeypatch)
-    monkeypatch.setattr(simulator, "_cpus", _cpus)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    for circuit, want in zip(circuits, threaded):
+    for circuit, want in zip(circuits, wanted):
         got = simulator.run(circuit, seed=2)
         assert repr(got.probes) == repr(want.probes)
         assert got.measurements == want.measurements
         assert got.state.tobytes() == want.state.tobytes()
-    assert started == []
-    assert played[0] == 0
+    assert played[0] == pieces
 
 
 def test_reads_end_a_full_segment(split_at, monkeypatch):
